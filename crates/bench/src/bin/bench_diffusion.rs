@@ -25,10 +25,10 @@
 //!
 //! The `service` section records the shared-runtime serving shapes:
 //! **small_batch** — the same 8-query mixed batch issued repeatedly,
-//! cold (`run_batch` free function: fresh per-worker workspaces every
-//! call, PR 3's behavior) vs through a persistent `Engine` whose
-//! checkout pool keeps the per-worker workspaces warm *across* calls
-//! (`reuse{t}` ≥ 1.0 means cross-call reuse won) — and
+//! cold (`run_batch` on an engine built fresh for each call, so every
+//! call starts with fresh per-worker workspaces) vs through a persistent
+//! `Engine` whose checkout pool keeps the per-worker workspaces warm
+//! *across* calls (`reuse{t}` ≥ 1.0 means cross-call reuse won) — and
 //! **two_graph_stream** — a mixed query stream alternating between two
 //! suite graphs registered in one `Service` over one shared pool
 //! (`qps{t}` is the resulting throughput).
@@ -73,6 +73,16 @@ const THREADS: [usize; 3] = [1, 2, 4];
 /// Queries per small batch (the "repeated small batches" serving shape).
 const SMALL_BATCH: usize = 8;
 
+/// `x` as a JSON number with `prec` decimals, or `null` when it is not
+/// finite (JSON has no NaN or infinity).
+fn num(x: f64, prec: usize) -> String {
+    if x.is_finite() {
+        format!("{x:.prec$}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// One service-section measurement: a workload over one or two graphs,
 /// with an optional cold comparator column family.
 struct SvcRow {
@@ -106,12 +116,12 @@ impl SvcRow {
         match self.cold_s {
             Some(cold_s) => {
                 for ((t, cold), svc) in THREADS.iter().zip(cold_s).zip(self.svc_s) {
-                    let _ = write!(s, ", \"reuse{t}\": {:.3}", cold / svc);
+                    let _ = write!(s, ", \"reuse{t}\": {}", num(cold / svc, 3));
                 }
             }
             None => {
                 for (t, secs) in THREADS.iter().zip(self.svc_s) {
-                    let _ = write!(s, ", \"qps{t}\": {:.0}", self.queries as f64 / secs);
+                    let _ = write!(s, ", \"qps{t}\": {}", num(self.queries as f64 / secs, 0));
                 }
             }
         }
@@ -139,11 +149,11 @@ impl CompRow {
         let mut s = String::new();
         let _ = write!(
             s,
-            "    {{\"graph\": \"{}\", \"plain_adj_bytes\": {}, \"comp_adj_bytes\": {}, \"comp_bytes_ratio\": {:.3}",
+            "    {{\"graph\": \"{}\", \"plain_adj_bytes\": {}, \"comp_adj_bytes\": {}, \"comp_bytes_ratio\": {}",
             self.graph,
             self.plain_adj_bytes,
             self.comp_adj_bytes,
-            self.plain_adj_bytes as f64 / self.comp_adj_bytes.max(1) as f64
+            num(self.plain_adj_bytes as f64 / self.comp_adj_bytes.max(1) as f64, 3)
         );
         for (t, secs) in THREADS.iter().zip(self.pull_plain_s) {
             let _ = write!(s, ", \"pull_plain{t}_s\": {secs:.6}");
@@ -152,7 +162,7 @@ impl CompRow {
             let _ = write!(s, ", \"pull_comp{t}_s\": {secs:.6}");
         }
         for ((t, comp), plain) in THREADS.iter().zip(self.pull_comp_s).zip(self.pull_plain_s) {
-            let _ = write!(s, ", \"pull_overhead{t}\": {:.3}", comp / plain);
+            let _ = write!(s, ", \"pull_overhead{t}\": {}", num(comp / plain, 3));
         }
         s.push('}');
         s
@@ -178,7 +188,7 @@ impl RobustRow {
             let _ = write!(s, ", \"guarded{t}_s\": {secs:.6}");
         }
         for ((t, guarded), plain) in THREADS.iter().zip(self.guarded_s).zip(self.plain_s) {
-            let _ = write!(s, ", \"guard_overhead{t}\": {:.3}", guarded / plain);
+            let _ = write!(s, ", \"guard_overhead{t}\": {}", num(guarded / plain, 3));
         }
         s.push('}');
         s
@@ -206,15 +216,12 @@ impl FlowRow {
         let mut s = String::new();
         let _ = write!(
             s,
-            "    {{\"graph\": \"{}\", \"phi_sweep\": {:.6}, \"phi_refined\": {:.6}, \"phi_ratio\": {:.3}, \"cluster_in\": {}, \"cluster_out\": {}",
+            "    {{\"graph\": \"{}\", \"phi_sweep\": {}, \"phi_refined\": {}, \"phi_ratio\": {}, \"cluster_in\": {}, \"cluster_out\": {}",
             self.graph,
-            self.phi_sweep,
-            self.phi_refined,
-            if self.phi_sweep > 0.0 {
-                self.phi_refined / self.phi_sweep
-            } else {
-                1.0
-            },
+            num(self.phi_sweep, 6),
+            num(self.phi_refined, 6),
+            // Undefined (null) when the sweep cut already has φ = 0.
+            num(self.phi_refined / self.phi_sweep, 3),
             self.cluster_in,
             self.cluster_out
         );
@@ -452,7 +459,7 @@ impl Row {
 
 fn bench_graph(
     sg: &SuiteGraph,
-    pools: &[Pool],
+    pools: &[Arc<Pool>],
     reps: usize,
     quick: bool,
 ) -> (Vec<Row>, SvcRow, RobustRow) {
@@ -594,9 +601,9 @@ fn bench_graph(
     );
 
     // The serving shape: the same small batch issued repeatedly. Cold =
-    // free `run_batch` (fresh per-worker-chunk workspaces on every call,
-    // exactly PR 3's `Engine::run_batch`); svc = the persistent engine's
-    // checkout pool keeping those workspaces warm across calls. Each
+    // `run_batch` on an engine built fresh for each call (fresh
+    // per-worker-chunk workspaces every time); svc = the persistent
+    // engine's checkout pool keeping those workspaces warm across calls. Each
     // timed unit is a run of consecutive calls — the workload under
     // measurement is the *stream* of small batches, and the longer unit
     // keeps timer noise out of the reuse ratio.
@@ -617,7 +624,10 @@ fn bench_graph(
         for _ in 0..reps {
             let (_, secs) = lgc_bench::time(|| {
                 for _ in 0..CALLS_PER_UNIT {
-                    lgc::run_batch(pool, g, &batch);
+                    Engine::builder(g)
+                        .shared_pool(Arc::clone(pool))
+                        .build()
+                        .run_batch(&batch);
                 }
             });
             cold_best = cold_best.min(secs);
@@ -747,7 +757,7 @@ fn main() {
 
     eprintln!("# generating graph suite (quick={quick})...");
     let graphs = suite(quick);
-    let pools: Vec<Pool> = THREADS.iter().map(|&t| Pool::new(t)).collect();
+    let pools: Vec<Arc<Pool>> = THREADS.iter().map(|&t| Pool::shared(t)).collect();
 
     if let Some(only) = &only {
         for name in only {
@@ -838,7 +848,7 @@ fn main() {
                 row.graph, row.algorithm
             );
             for (i, t) in THREADS.iter().enumerate() {
-                let _ = write!(s, ", \"par{t}\": {:.3}", push_s[i] / row.par_s[i]);
+                let _ = write!(s, ", \"par{t}\": {}", num(push_s[i] / row.par_s[i], 3));
             }
             s.push('}');
             Some(s)
@@ -861,7 +871,7 @@ fn main() {
                 row.graph, row.algorithm
             );
             for (i, t) in THREADS.iter().enumerate() {
-                let _ = write!(s, ", \"par{t}\": {:.3}", row.par_s[i] / warm_s[i]);
+                let _ = write!(s, ", \"par{t}\": {}", num(row.par_s[i] / warm_s[i], 3));
             }
             s.push('}');
             Some(s)
@@ -919,13 +929,13 @@ fn main() {
                 let mut s = String::new();
                 let _ = write!(
                     s,
-                    "    {{\"graph\": \"{}\", \"algorithm\": \"{}\", \"seq\": {:.3}",
+                    "    {{\"graph\": \"{}\", \"algorithm\": \"{}\", \"seq\": {}",
                     row.graph,
                     row.algorithm,
-                    base.seq_s / row.seq_s
+                    num(base.seq_s / row.seq_s, 3)
                 );
                 for (i, t) in THREADS.iter().enumerate() {
-                    let _ = write!(s, ", \"par{t}\": {:.3}", base.par_s[i] / row.par_s[i]);
+                    let _ = write!(s, ", \"par{t}\": {}", num(base.par_s[i] / row.par_s[i], 3));
                 }
                 s.push('}');
                 cmp_lines.push(s);

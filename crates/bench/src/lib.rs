@@ -2,8 +2,10 @@
 //! suite (Table 2 analogue) and timing helpers.
 //!
 //! The paper's evaluation graphs (SNAP social networks, Twitter, Yahoo
-//! web — up to 6.4B edges) cannot be shipped or held in this container;
-//! `DESIGN.md` §3 records the substitution argument. Each stand-in keeps
+//! web — up to 6.4B edges) are too large to ship or hold in memory here.
+//! A local diffusion only sees the neighbourhood its mass reaches, so
+//! what a stand-in must match is the family's local structure (degree
+//! tail, clustering, mesh regularity), not its size. Each stand-in keeps
 //! the *family* (power-law social graph, citation preferential
 //! attachment, mesh, …) at a scale where every experiment finishes on a
 //! laptop. Sizes are chosen so the diffusions touch tens of thousands of

@@ -5,9 +5,10 @@
 //! clock, by deterministic work counters, or until a shared
 //! [`CancelToken`] flips. Budgets are carried on
 //! [`Query`](crate::Query) (per request) and on the engine (per-graph
-//! default via [`EngineBuilder::default_budget`](crate::EngineBuilder)
-//! or [`EngineLimits`]); per-query settings override the default
-//! field-wise. The diffusion loops, the sweep, NCP grid scans, and batch
+//! default in [`EngineLimits`], set with
+//! [`EngineBuilder::limits`](crate::EngineBuilder::limits) or
+//! [`Service::add_graph_with_limits`](crate::Service::add_graph_with_limits));
+//! per-query settings override the default field-wise. The diffusion loops, the sweep, NCP grid scans, and batch
 //! chunk loops check the budget **once per frontier iteration** (see
 //! [`lgc_ligra::interrupt`]) — never per edge — so the hot kernels are
 //! untouched and completed runs stay bit-identical to unbudgeted ones.
@@ -155,9 +156,10 @@ impl QueryBudget {
     }
 }
 
-/// Per-graph engine limits, bundling everything
+/// Per-graph engine limits: everything
+/// [`EngineBuilder::limits`](crate::EngineBuilder::limits) and
 /// [`Service::add_graph_with_limits`](crate::Service::add_graph_with_limits)
-/// can configure.
+/// configure.
 #[derive(Clone, Debug, Default)]
 pub struct EngineLimits {
     /// Workspace-pool byte budget (`None` = the 4×-graph-bytes default).

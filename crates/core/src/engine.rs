@@ -10,8 +10,8 @@
 //! contribution slices, sweep rank tables — on every call, even though
 //! all of it is reusable across queries against the same graph.
 //!
-//! [`Engine`] fixes that: a handle bundling a [`Pool`] (owned, or an
-//! `Arc` share of a server-wide one), a `&Graph`, a checkout pool of
+//! [`Engine`] fixes that: a handle bundling a [`Pool`] (its own, or an
+//! `Arc` share of a server-wide one), a graph, a checkout pool of
 //! [`Workspace`]s, and a [`GraphCache`] of seed-independent state —
 //! built once and then hit with any number of queries **from any number
 //! of threads**, because every query method takes `&self` (scratch is
@@ -39,29 +39,32 @@
 //! would compute. Warm queries simply skip the allocator.
 //!
 //! Batch execution generalizes to any algorithm through
-//! [`Engine::run_batch`] / [`run_batch`]: queries are fanned across the
-//! pool's threads, each worker chunk checking a private [`Workspace`]
-//! out of the engine's pool — warm across `run_batch` *calls*, not just
-//! within one (see [`crate::batch`] for the inter- vs intra-query
-//! parallelism trade-off the paper discusses).
+//! [`Engine::run_batch`]: queries are fanned across the pool's threads,
+//! each worker chunk checking a private [`Workspace`] out of the
+//! engine's pool — warm across `run_batch` *calls*, not just within one
+//! (see [`crate::batch`] for the inter- vs intra-query parallelism
+//! trade-off the paper discusses).
 //!
-//! Serving many graphs from one process is the job of
-//! [`Service`](crate::Service), which hosts one [`EngineHandle`]-shaped
-//! entry per registered graph over a single shared [`Pool`].
+//! [`Engine`] is the only query type. It holds its graph as a
+//! [`CsrRef`] (either backend, borrowed) or as a [`GraphStore`] (either
+//! backend, `Arc`-owned — how a [`Service`](crate::Service) keeps one
+//! engine per registered graph over a single shared [`Pool`]). Each
+//! query method matches on the backend once, at its entry, and runs the
+//! monomorphized pipeline for it.
 
-use crate::batch::{run_batch_shared, try_run_batch_shared};
 use crate::budget::{
-    InvalidSeed, LifecycleCounters, LifecycleSnapshot, PartialResult, QueryBudget, QueryError,
-    TrippedDiffusion,
+    EngineLimits, InvalidSeed, LifecycleCounters, LifecycleSnapshot, PartialResult, QueryBudget,
+    QueryError, TrippedDiffusion,
 };
 use crate::cache::GraphCache;
 use crate::evolving::evolving_set_par_ws;
 use crate::ncp::{ncp_prnibble_ws, NcpParams, NcpPoint};
 use crate::result::{ClusterResult, Diffusion};
 use crate::seed::Seed;
+use crate::service::GraphStore;
 use crate::sweep::sweep_cut_par_ws;
 use crate::{Algorithm, EvolvingParams, HkprParams, NibbleParams, PrNibbleParams, RandHkprParams};
-use lgc_graph::{CsrBackend, Graph};
+use lgc_graph::{CsrBackend, CsrRef};
 use lgc_ligra::{Checkpoint, DirectionParams, Frontier, Trip, VertexSubset};
 use lgc_parallel::{Bitset, Pool};
 use lgc_sparse::{ConcurrentRankMap, ConcurrentSparseVec, MassMap};
@@ -406,11 +409,6 @@ impl WorkspacePool {
     /// Number of warm workspaces currently parked in the freelist.
     pub(crate) fn warm_count(&self) -> usize {
         self.lock().free.len()
-    }
-
-    /// The pool's resident-byte budget.
-    pub(crate) fn budget(&self) -> usize {
-        self.budget
     }
 
     /// The shared per-graph cache all checkouts are wired to.
@@ -761,121 +759,48 @@ pub(crate) fn try_run_query<B: CsrBackend>(
     }
 }
 
-/// Admission control + lifecycle accounting for one graph's fallible
-/// query entry points: the in-flight cap, the per-graph default
-/// [`QueryBudget`], and the robustness counters. One per [`EngineCore`],
-/// shared by every handle over that graph.
-pub(crate) struct QueryGovernor {
-    max_in_flight: Option<usize>,
-    default_budget: QueryBudget,
-    counters: LifecycleCounters,
-}
-
-impl QueryGovernor {
-    pub(crate) fn new(max_in_flight: Option<usize>, default_budget: QueryBudget) -> Self {
-        QueryGovernor {
-            max_in_flight,
-            default_budget,
-            counters: LifecycleCounters::default(),
+/// Expands `$body` once per storage backend, with `$g` bound to the
+/// concrete graph behind the [`CsrRef`] `$csr`. A query pays one match
+/// at its entry point; the generic pipeline inside each arm is
+/// monomorphized, so no edge loop ever branches on the backend.
+macro_rules! with_graph {
+    ($csr:expr, |$g:ident| $body:expr) => {
+        match $csr {
+            lgc_graph::CsrRef::Plain($g) => $body,
+            lgc_graph::CsrRef::Compressed($g) => $body,
         }
-    }
+    };
+}
+pub(crate) use with_graph;
 
-    pub(crate) fn counters(&self) -> &LifecycleCounters {
-        &self.counters
-    }
-
-    pub(crate) fn default_budget(&self) -> &QueryBudget {
-        &self.default_budget
-    }
+/// The graph an [`Engine`] serves: borrowed from the caller
+/// ([`Engine::builder`]) or co-owned behind an `Arc` (a
+/// [`Service`](crate::Service) tenant).
+pub(crate) enum EngineGraph<'g> {
+    Borrowed(CsrRef<'g>),
+    Shared(GraphStore),
 }
 
-/// The engine's pool slot: its own workers, or a share of a runtime-wide
-/// set (how a [`Service`](crate::Service) hosts many graphs over one
-/// pool without per-graph worker fleets).
-pub(crate) enum PoolRef {
-    /// The engine spawned (and will join) its own workers.
-    Owned(Pool),
-    /// A reference-counted share of a pool owned elsewhere.
-    Shared(Arc<Pool>),
-}
-
-impl std::ops::Deref for PoolRef {
-    type Target = Pool;
-    fn deref(&self) -> &Pool {
+impl EngineGraph<'_> {
+    /// The graph, for dispatch to the generic pipeline.
+    pub(crate) fn csr(&self) -> CsrRef<'_> {
         match self {
-            PoolRef::Owned(p) => p,
-            PoolRef::Shared(p) => p,
+            EngineGraph::Borrowed(g) => *g,
+            EngineGraph::Shared(store) => store.csr(),
         }
     }
 }
 
-/// The graph-independent half of an engine: pool slot, direction
-/// override, workspace checkout pool, per-graph cache. [`Engine`] pairs
-/// one with a borrowed graph; [`Service`](crate::Service) keeps one per
-/// registered graph over a shared pool.
-pub(crate) struct EngineCore {
-    pool: PoolRef,
-    dir: Option<DirectionParams>,
-    workspaces: WorkspacePool,
-    governor: QueryGovernor,
-}
-
-impl EngineCore {
-    /// A core admitting at most `budget` resident workspace bytes and at
-    /// most `max_in_flight` concurrent fallible queries, every query
-    /// defaulting to `default_budget`.
-    pub(crate) fn new(
-        pool: PoolRef,
-        dir: Option<DirectionParams>,
-        budget: usize,
-        max_in_flight: Option<usize>,
-        default_budget: QueryBudget,
-    ) -> Self {
-        EngineCore {
-            pool,
-            dir,
-            workspaces: WorkspacePool::new(Arc::new(GraphCache::new()), budget),
-            governor: QueryGovernor::new(max_in_flight, default_budget),
-        }
-    }
-
-    /// A query handle over this core and `g`.
-    pub(crate) fn handle<'a, B: CsrBackend>(&'a self, g: &'a B) -> EngineHandle<'a, B> {
-        EngineHandle {
-            g,
-            pool: &self.pool,
-            dir: self.dir,
-            workspaces: &self.workspaces,
-            governor: &self.governor,
-        }
-    }
-
-    /// The core's per-graph cache.
-    pub(crate) fn cache(&self) -> &Arc<GraphCache> {
-        self.workspaces.cache()
-    }
-
-    /// Point-in-time copy of the core's robustness counters.
-    pub(crate) fn lifecycle(&self) -> LifecycleSnapshot {
-        self.governor.counters().snapshot()
-    }
-}
-
-/// Builds an [`Engine`]; obtained from [`Engine::builder`]. Generic over
-/// the CSR backend (`B = Graph` by default; pass a
-/// [`CsrCompressed`](lgc_graph::CsrCompressed) reference to
-/// [`Engine::builder`] to serve byte-compressed adjacency).
-pub struct EngineBuilder<'g, B: CsrBackend = Graph> {
-    g: &'g B,
+/// Builds an [`Engine`]; obtained from [`Engine::builder`].
+pub struct EngineBuilder<'g> {
+    g: CsrRef<'g>,
     threads: Option<usize>,
-    pool: Option<PoolRef>,
+    pool: Option<Arc<Pool>>,
     dir: Option<DirectionParams>,
-    budget: Option<usize>,
-    max_in_flight: Option<usize>,
-    default_budget: QueryBudget,
+    limits: EngineLimits,
 }
 
-impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
+impl<'g> EngineBuilder<'g> {
     /// Exact thread count for the engine's pool (`Pool::new` semantics:
     /// not clamped to the machine, so benchmark sweeps stay comparable
     /// across hosts). Default: one thread per available core.
@@ -884,17 +809,11 @@ impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
         self
     }
 
-    /// Adopts an already-built pool (overrides [`Self::threads`]).
-    pub fn pool(mut self, pool: Pool) -> Self {
-        self.pool = Some(PoolRef::Owned(pool));
-        self
-    }
-
     /// Shares an existing pool instead of spawning one — several engines
     /// (or a whole [`Service`](crate::Service)) over one worker set.
     /// Overrides [`Self::threads`].
     pub fn shared_pool(mut self, pool: Arc<Pool>) -> Self {
-        self.pool = Some(PoolRef::Shared(pool));
+        self.pool = Some(pool);
         self
     }
 
@@ -907,151 +826,131 @@ impl<'g, B: CsrBackend> EngineBuilder<'g, B> {
         self
     }
 
-    /// Byte budget for the engine's resident workspace scratch: checkout
-    /// requests that would push the total past it are denied (`try_run`)
-    /// or served by transient unpooled workspaces (`run`). Default:
-    /// 4× the graph's resident bytes, clamped to `[32 MiB, 1 GiB]`.
-    pub fn workspace_budget(mut self, bytes: usize) -> Self {
-        self.budget = Some(bytes);
-        self
-    }
-
-    /// Admission-control cap: at most `n` fallible queries
-    /// ([`Engine::try_run`]) execute concurrently; arrivals beyond the
-    /// cap are shed with [`QueryError::Overloaded`] (carrying a
-    /// retry-after hint) instead of queuing. The infallible paths are
-    /// never shed. Default: unbounded.
-    pub fn max_in_flight(mut self, n: usize) -> Self {
-        self.max_in_flight = Some(n);
-        self
-    }
-
-    /// Default [`QueryBudget`] applied to every fallible query on this
-    /// engine; per-query budgets override it field-wise. Default:
-    /// unlimited.
-    pub fn default_budget(mut self, budget: QueryBudget) -> Self {
-        self.default_budget = budget;
-        self
-    }
-
-    /// Applies a full [`EngineLimits`](crate::EngineLimits) bundle —
-    /// workspace byte budget,
-    /// in-flight cap, and default query budget — in one call (unset
-    /// fields keep their defaults).
-    pub fn limits(mut self, limits: crate::budget::EngineLimits) -> Self {
-        if let Some(b) = limits.workspace_budget {
-            self.budget = Some(b);
-        }
-        if let Some(n) = limits.max_in_flight {
-            self.max_in_flight = Some(n);
-        }
-        self.default_budget = limits.default_budget;
+    /// Per-graph [`EngineLimits`]: the workspace byte budget (checkouts
+    /// that would push resident scratch past it are denied by `try_run`
+    /// and served by transient unpooled workspaces in `run`; default 4×
+    /// the graph's resident bytes, clamped to `[32 MiB, 1 GiB]`), the
+    /// in-flight admission cap on `try_run` (arrivals beyond it are shed
+    /// with [`QueryError::Overloaded`]; default unbounded), and the
+    /// default [`QueryBudget`] per-query budgets override field-wise
+    /// (default unlimited).
+    pub fn limits(mut self, limits: EngineLimits) -> Self {
+        self.limits = limits;
         self
     }
 
     /// Builds the engine (spawning the pool's workers if needed).
-    pub fn build(self) -> Engine<'g, B> {
-        let pool = self.pool.unwrap_or_else(|| {
-            PoolRef::Owned(match self.threads {
-                Some(t) => Pool::new(t),
-                None => Pool::with_default_threads(),
-            })
-        });
-        let budget = self
-            .budget
-            .unwrap_or_else(|| default_workspace_budget(self.g.memory_bytes()));
-        Engine {
-            g: self.g,
-            core: EngineCore::new(
-                pool,
-                self.dir,
-                budget,
-                self.max_in_flight,
-                self.default_budget,
-            ),
-        }
+    pub fn build(self) -> Engine<'g> {
+        let pool = self.pool.unwrap_or_else(|| spawn_pool(self.threads));
+        Engine::assemble(EngineGraph::Borrowed(self.g), pool, self.dir, self.limits)
     }
 }
 
-/// A query handle over one graph: a thread [`Pool`] (owned or shared),
-/// the graph, a checkout pool of [`Workspace`]s, and a [`GraphCache`].
-/// Build once, query many times — from as many threads as you like,
-/// since every query method takes `&self`. See the crate docs for the
-/// full story.
-///
-/// Queries through a warm engine return results bit-identical to the
-/// corresponding free functions (`prnibble_par` + `sweep_cut_par`, …) —
-/// workspace checkouts and cache hits are invisible in the output, only
-/// in the allocator profile and the amortized per-query latency
-/// (`bench_diffusion` records the warm and service columns).
-pub struct Engine<'g, B: CsrBackend = Graph> {
-    g: &'g B,
-    core: EngineCore,
+/// A pool of exactly `threads` threads, or one per core when `None`.
+pub(crate) fn spawn_pool(threads: Option<usize>) -> Arc<Pool> {
+    match threads {
+        Some(t) => Pool::shared(t),
+        None => Arc::new(Pool::with_default_threads()),
+    }
 }
 
-impl<'g, B: CsrBackend> Engine<'g, B> {
-    /// Starts building an engine over `g` — a plain [`Graph`] or a
+/// The query type: one graph (plain or compressed, borrowed or
+/// `Arc`-owned), a thread [`Pool`] (its own or a shared one), a checkout
+/// pool of [`Workspace`]s, a [`GraphCache`], and the graph's admission
+/// control and lifecycle counters. Build once with [`Engine::builder`],
+/// or register the graph in a [`Service`](crate::Service) and get it
+/// from [`Service::engine`](crate::Service::engine). Query many times,
+/// from as many threads as you like: every query method takes `&self`.
+///
+/// Queries return results bit-identical to the corresponding free
+/// functions (`prnibble_par` + `sweep_cut_par`, …) on either backend —
+/// workspace checkouts and cache hits are invisible in the output, only
+/// in the allocator profile and the amortized per-query latency.
+pub struct Engine<'g> {
+    pub(crate) graph: EngineGraph<'g>,
+    pub(crate) pool: Arc<Pool>,
+    dir: Option<DirectionParams>,
+    pub(crate) workspaces: WorkspacePool,
+    max_in_flight: Option<usize>,
+    pub(crate) default_budget: QueryBudget,
+    pub(crate) counters: LifecycleCounters,
+}
+
+impl<'g> Engine<'g> {
+    /// Starts building an engine over `g` — a plain
+    /// [`Graph`](lgc_graph::Graph) or a
     /// [`CsrCompressed`](lgc_graph::CsrCompressed); queries are
     /// bit-identical either way.
-    pub fn builder(g: &'g B) -> EngineBuilder<'g, B> {
+    pub fn builder<B: CsrBackend>(g: &'g B) -> EngineBuilder<'g> {
         EngineBuilder {
-            g,
+            g: g.as_csr(),
             threads: None,
             pool: None,
             dir: None,
-            budget: None,
-            max_in_flight: None,
-            default_budget: QueryBudget::unlimited(),
+            limits: EngineLimits::default(),
         }
     }
 
-    /// An engine over `g` with default settings (machine-sized pool).
-    pub fn new(g: &'g B) -> Self {
-        Self::builder(g).build()
+    /// The one constructor behind [`EngineBuilder::build`] and
+    /// [`Service`](crate::Service) registration.
+    pub(crate) fn assemble(
+        graph: EngineGraph<'g>,
+        pool: Arc<Pool>,
+        dir: Option<DirectionParams>,
+        limits: EngineLimits,
+    ) -> Self {
+        let budget = limits.workspace_budget.unwrap_or_else(|| {
+            default_workspace_budget(with_graph!(graph.csr(), |g| g.memory_bytes()))
+        });
+        Engine {
+            graph,
+            pool,
+            dir,
+            workspaces: WorkspacePool::new(Arc::new(GraphCache::new()), budget),
+            max_in_flight: limits.max_in_flight,
+            default_budget: limits.default_budget,
+            counters: LifecycleCounters::default(),
+        }
     }
 
-    /// The graph this engine serves queries against.
-    pub fn graph(&self) -> &'g B {
-        self.g
+    /// The `Arc`-owned graph of a [`Service`](crate::Service) tenant.
+    pub(crate) fn store(&self) -> Option<&GraphStore> {
+        match &self.graph {
+            EngineGraph::Shared(s) => Some(s),
+            EngineGraph::Borrowed(_) => None,
+        }
     }
 
     /// The engine's thread pool.
     pub fn pool(&self) -> &Pool {
-        &self.core.pool
+        &self.pool
     }
 
     /// Total threads participating in each query.
     pub fn num_threads(&self) -> usize {
-        self.core.pool.num_threads()
+        self.pool.num_threads()
     }
 
     /// The engine's cache of seed-independent state (ψ tables, degree
     /// vector, graph summary) — exposed for observability; queries
     /// consult it automatically.
     pub fn cache(&self) -> &Arc<GraphCache> {
-        self.core.workspaces.cache()
+        self.workspaces.cache()
     }
 
     /// Number of warm workspaces parked in the checkout pool (0 on a
     /// fresh engine; grows to the peak number of concurrent queries /
-    /// batch worker chunks, then stabilizes — the cross-call reuse the
-    /// service bench measures).
+    /// batch worker chunks, then stabilizes).
     pub fn warm_workspaces(&self) -> usize {
-        self.core.workspaces.warm_count()
+        self.workspaces.warm_count()
     }
 
-    /// The engine's resident-workspace byte budget (see
-    /// [`EngineBuilder::workspace_budget`]).
-    pub fn workspace_budget(&self) -> usize {
-        self.core.workspaces.budget()
-    }
-
-    /// A borrowed, `Copy` query handle — what [`Engine`]'s own query
-    /// methods delegate to, and the exact shape
-    /// [`Service::engine`](crate::Service::engine) returns for its
-    /// registered graphs.
-    pub fn handle(&self) -> EngineHandle<'_, B> {
-        self.core.handle(self.g)
+    /// Applies the engine-level direction override, if any.
+    pub(crate) fn resolve(&self, algo: &Algorithm) -> Algorithm {
+        match self.dir {
+            Some(dir) => algo.with_direction(dir),
+            None => algo.clone(),
+        }
     }
 
     /// Runs one full query — diffusion plus sweep-cut rounding (the
@@ -1060,7 +959,23 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
     /// of the engine's pool. Equivalent to [`crate::find_cluster`],
     /// minus the allocations. Callable from any thread.
     pub fn run(&self, query: &Query) -> ClusterResult {
-        self.handle().run(query)
+        let _ = self.counters.enter(None); // unbounded: tracks in-flight only
+        self.counters.note_admitted();
+        // lgc-lint: allow(determinism) -- latency metric feeding note_completed only; never a query decision
+        let t0 = Instant::now();
+        let algo = self.resolve(&query.algo);
+        let mut ws = self.workspaces.checkout();
+        let out = with_graph!(self.graph.csr(), |g| run_query(
+            &self.pool,
+            g,
+            &mut ws,
+            &query.seed,
+            &algo
+        ));
+        self.workspaces.restore(ws);
+        self.counters.note_completed(t0.elapsed());
+        self.counters.exit();
+        out
     }
 
     /// The governed form of [`Engine::run`]: validates the seed, applies
@@ -1070,253 +985,95 @@ impl<'g, B: CsrBackend> Engine<'g, B> {
     /// best-so-far [`PartialResult`] for mid-run trips — instead of
     /// running unboundedly or panicking.
     pub fn try_run(&self, query: &Query) -> Result<ClusterResult, QueryError> {
-        self.handle().try_run(query)
+        self.check_seed(&query.seed)?;
+        if let Err(occupied) = self.counters.enter(self.max_in_flight) {
+            self.counters.note_shed_overloaded();
+            return Err(QueryError::Overloaded {
+                in_flight: occupied,
+                limit: self.max_in_flight.unwrap_or(usize::MAX),
+                retry_after: Some(self.counters.retry_hint()),
+            });
+        }
+        let out = match self.workspaces.try_checkout() {
+            Ok(mut ws) => {
+                let out = with_graph!(self.graph.csr(), |g| self
+                    .run_governed(&self.pool, g, &mut ws, query));
+                self.workspaces.restore(ws);
+                out
+            }
+            Err(e) => {
+                self.counters.note_shed_workspace();
+                Err(e.into())
+            }
+        };
+        self.counters.exit();
+        out
+    }
+
+    /// Rejects (and counts) a seed naming a vertex outside the graph.
+    pub(crate) fn check_seed(&self, seed: &Seed) -> Result<(), QueryError> {
+        let n = with_graph!(self.graph.csr(), |g| g.num_vertices());
+        match seed.vertices().iter().find(|&&v| v as usize >= n) {
+            Some(&vertex) => {
+                self.counters.note_invalid_seed();
+                Err(InvalidSeed {
+                    vertex,
+                    num_vertices: n,
+                }
+                .into())
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// Runs an admitted query under its budget (merged over the engine's
+    /// default and armed now), with lifecycle accounting — the execution
+    /// step shared by [`Engine::try_run`] and [`Engine::try_run_batch`].
+    pub(crate) fn run_governed<B: CsrBackend>(
+        &self,
+        pool: &Pool,
+        g: &B,
+        ws: &mut Workspace,
+        query: &Query,
+    ) -> Result<ClusterResult, QueryError> {
+        let algo = self.resolve(&query.algo);
+        let cp = query.budget.or(&self.default_budget).checkpoint();
+        self.counters.note_admitted();
+        // lgc-lint: allow(determinism) -- latency metric feeding note_completed only; never a query decision
+        let t0 = Instant::now();
+        match try_run_query(pool, g, ws, &query.seed, &algo, &cp) {
+            Ok(res) => {
+                self.counters.note_completed(t0.elapsed());
+                Ok(res)
+            }
+            Err((trip, partial)) => {
+                self.counters.note_trip(trip);
+                Err(QueryError::from_trip(trip, partial))
+            }
+        }
     }
 
     /// Per-graph robustness counters: admitted / completed / shed /
     /// tripped / in-flight, next to the [`GraphCache`] stats.
     pub fn lifecycle_stats(&self) -> LifecycleSnapshot {
-        self.core.lifecycle()
+        self.counters.snapshot()
     }
 
     /// Runs just the diffusion of `algo` from `seed` (no sweep).
     /// Equivalent to the algorithm's `*_par` free function.
     pub fn diffuse(&self, seed: &Seed, algo: &Algorithm) -> Diffusion {
-        self.handle().diffuse(seed, algo)
-    }
-
-    /// Runs many independent queries — any mix of algorithms — fanned
-    /// across the pool's threads, each worker chunk checking a private
-    /// workspace out of the engine's pool (warm across calls). Results
-    /// are position-aligned with `queries`, thread-count independent,
-    /// and bit-identical to running each query alone on a
-    /// single-threaded engine (see [`crate::run_batch`] for the
-    /// contract).
-    pub fn run_batch(&self, queries: &[Query]) -> Vec<ClusterResult> {
-        self.handle().run_batch(queries)
-    }
-
-    /// The governed form of [`Engine::run_batch`]: every query is
-    /// seed-validated and runs under its own [`QueryBudget`] (merged
-    /// over the engine's default, armed at that query's start), so one
-    /// poisoned or oversized query fails alone — position-aligned with
-    /// `queries` — while the rest of the batch completes normally.
-    pub fn try_run_batch(&self, queries: &[Query]) -> Vec<Result<ClusterResult, QueryError>> {
-        self.handle().try_run_batch(queries)
+        let algo = self.resolve(algo);
+        let mut ws = self.workspaces.checkout();
+        let out = with_graph!(self.graph.csr(), |g| algo
+            .diffuse(&self.pool, g, seed, &mut ws));
+        self.workspaces.restore(ws);
+        out
     }
 
     /// Computes a network community profile (§4) with PR-Nibble
     /// diffusions, one workspace checkout serving the whole
     /// seed × α × ε grid — the highest-leverage consumer of workspace
     /// recycling, since an NCP scan is hundreds of back-to-back queries.
-    pub fn ncp(&self, params: &NcpParams) -> Vec<NcpPoint> {
-        self.handle().ncp(params)
-    }
-
-    /// MQI max-flow refinement of a sweep cut: returns a subset of the
-    /// result's cluster with conductance ≤ the input's, deterministically
-    /// (see [`lgc_flow::improve`]).
-    pub fn improve(&self, result: &ClusterResult) -> lgc_flow::RefinedCut {
-        self.handle().improve(result)
-    }
-
-    /// [`Engine::improve`] on a bare vertex set (any order, duplicates
-    /// tolerated) — the analyst-supplied-cut form.
-    pub fn improve_set(&self, cluster: &[u32]) -> lgc_flow::RefinedCut {
-        self.handle().improve_set(cluster)
-    }
-
-    /// The governed form of [`Engine::improve`]: refinement runs under
-    /// `budget` (merged over the engine's default), with checkpoint
-    /// ticks in the flow solver's phase loop. On a trip the error's
-    /// [`PartialResult`](crate::PartialResult) carries the *unrefined*
-    /// input cut — always still a valid cluster.
-    pub fn try_improve(
-        &self,
-        result: &ClusterResult,
-        budget: &QueryBudget,
-    ) -> Result<lgc_flow::RefinedCut, QueryError> {
-        self.handle().try_improve(result, budget)
-    }
-
-    /// Per-seed embedding: a geomspace ρ sweep of PR-Nibble queries
-    /// (batched through [`Engine::run_batch`]), each sweep cut refined
-    /// with [`Engine::improve`], keeping the minimum-conductance cut.
-    /// See [`PipelineParams`](crate::PipelineParams).
-    pub fn compute_embedding(&self, seed: u32, params: &crate::PipelineParams) -> crate::Embedding {
-        self.handle().compute_embedding(seed, params)
-    }
-
-    /// Whole-graph pipeline: embeddings for every (non-isolated) vertex,
-    /// agglomerated into `k` groups by pairwise embedding distance. See
-    /// [`find_k_clusters`](EngineHandle::find_k_clusters).
-    pub fn find_k_clusters(&self, k: usize, params: &crate::PipelineParams) -> crate::KClusters {
-        self.handle().find_k_clusters(k, params)
-    }
-}
-
-/// A lightweight (`Copy`) handle for issuing queries against one graph
-/// over a shared runtime: obtained from [`Engine::handle`] or
-/// [`Service::engine`](crate::Service::engine). All methods take `&self`
-/// and may be called concurrently from any number of OS threads; each
-/// query checks a [`Workspace`] out of the underlying pool for its
-/// duration.
-pub struct EngineHandle<'a, B: CsrBackend = Graph> {
-    g: &'a B,
-    pool: &'a Pool,
-    dir: Option<DirectionParams>,
-    workspaces: &'a WorkspacePool,
-    governor: &'a QueryGovernor,
-}
-
-// Manual impls: `derive(Clone, Copy)` would demand `B: Copy`, but the
-// handle only holds `&B`.
-impl<B: CsrBackend> Clone for EngineHandle<'_, B> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<B: CsrBackend> Copy for EngineHandle<'_, B> {}
-
-impl<'a, B: CsrBackend> EngineHandle<'a, B> {
-    /// The graph this handle queries.
-    pub fn graph(&self) -> &'a B {
-        self.g
-    }
-
-    /// The underlying thread pool.
-    pub fn pool(&self) -> &'a Pool {
-        self.pool
-    }
-
-    /// Total threads participating in each query.
-    pub fn num_threads(&self) -> usize {
-        self.pool.num_threads()
-    }
-
-    /// The graph's cache of seed-independent state.
-    pub fn cache(&self) -> &'a Arc<GraphCache> {
-        self.workspaces.cache()
-    }
-
-    /// The lifecycle governor (admission cap, default budget, counters)
-    /// — shared with the pipeline module's refinement entry points.
-    pub(crate) fn governor(&self) -> &'a QueryGovernor {
-        self.governor
-    }
-
-    /// Applies the engine-level direction override, if any.
-    fn resolve(&self, algo: &Algorithm) -> Algorithm {
-        match self.dir {
-            Some(dir) => algo.with_direction(dir),
-            None => algo.clone(),
-        }
-    }
-
-    /// See [`Engine::run`].
-    pub fn run(&self, query: &Query) -> ClusterResult {
-        let counters = self.governor.counters();
-        let _ = counters.enter(None); // unbounded: tracks in-flight only
-        counters.note_admitted();
-        // lgc-lint: allow(determinism) -- latency metric feeding note_completed only; never a query decision
-        let t0 = Instant::now();
-        let algo = self.resolve(&query.algo);
-        let mut ws = self.workspaces.checkout();
-        let out = run_query(self.pool, self.g, &mut ws, &query.seed, &algo);
-        self.workspaces.restore(ws);
-        counters.note_completed(t0.elapsed());
-        counters.exit();
-        out
-    }
-
-    /// See [`Engine::try_run`].
-    pub fn try_run(&self, query: &Query) -> Result<ClusterResult, QueryError> {
-        let counters = self.governor.counters();
-        let n = self.g.num_vertices();
-        if let Some(&v) = query.seed.vertices().iter().find(|&&v| v as usize >= n) {
-            counters.note_invalid_seed();
-            return Err(InvalidSeed {
-                vertex: v,
-                num_vertices: n,
-            }
-            .into());
-        }
-        if let Err(occupied) = counters.enter(self.governor.max_in_flight) {
-            counters.note_shed_overloaded();
-            return Err(QueryError::Overloaded {
-                in_flight: occupied,
-                limit: self.governor.max_in_flight.unwrap_or(usize::MAX),
-                retry_after: Some(counters.retry_hint()),
-            });
-        }
-        let out = self.try_run_admitted(query);
-        counters.exit();
-        out
-    }
-
-    /// [`Self::try_run`] past the in-flight gate: workspace checkout,
-    /// budget arming, execution, and counter bookkeeping. Split out so
-    /// the gate's `exit()` covers every return path in one place.
-    fn try_run_admitted(&self, query: &Query) -> Result<ClusterResult, QueryError> {
-        let counters = self.governor.counters();
-        let algo = self.resolve(&query.algo);
-        let mut ws = match self.workspaces.try_checkout() {
-            Ok(ws) => ws,
-            Err(e) => {
-                counters.note_shed_workspace();
-                return Err(e.into());
-            }
-        };
-        counters.note_admitted();
-        let cp = query.budget.or(self.governor.default_budget()).checkpoint();
-        // lgc-lint: allow(determinism) -- latency metric feeding note_completed only; never a query decision
-        let t0 = Instant::now();
-        let out = try_run_query(self.pool, self.g, &mut ws, &query.seed, &algo, &cp);
-        self.workspaces.restore(ws);
-        match out {
-            Ok(res) => {
-                counters.note_completed(t0.elapsed());
-                Ok(res)
-            }
-            Err((trip, partial)) => {
-                counters.note_trip(trip);
-                Err(QueryError::from_trip(trip, partial))
-            }
-        }
-    }
-
-    /// See [`Engine::diffuse`].
-    pub fn diffuse(&self, seed: &Seed, algo: &Algorithm) -> Diffusion {
-        let algo = self.resolve(algo);
-        let mut ws = self.workspaces.checkout();
-        let out = algo.diffuse(self.pool, self.g, seed, &mut ws);
-        self.workspaces.restore(ws);
-        out
-    }
-
-    /// See [`Engine::run_batch`].
-    pub fn run_batch(&self, queries: &[Query]) -> Vec<ClusterResult> {
-        run_batch_shared(self.pool, self.g, queries, self.dir, Some(self.workspaces))
-    }
-
-    /// See [`Engine::try_run_batch`].
-    pub fn try_run_batch(&self, queries: &[Query]) -> Vec<Result<ClusterResult, QueryError>> {
-        try_run_batch_shared(
-            self.pool,
-            self.g,
-            queries,
-            self.dir,
-            Some(self.workspaces),
-            Some(self.governor),
-        )
-    }
-
-    /// See [`Engine::lifecycle_stats`].
-    pub fn lifecycle_stats(&self) -> LifecycleSnapshot {
-        self.governor.counters().snapshot()
-    }
-
-    /// See [`Engine::ncp`].
     pub fn ncp(&self, params: &NcpParams) -> Vec<NcpPoint> {
         let params = match self.dir {
             Some(dir) => NcpParams {
@@ -1326,7 +1083,9 @@ impl<'a, B: CsrBackend> EngineHandle<'a, B> {
             None => params.clone(),
         };
         let mut ws = self.workspaces.checkout();
-        let out = ncp_prnibble_ws(self.pool, self.g, &params, &mut ws);
+        let out = with_graph!(self.graph.csr(), |g| ncp_prnibble_ws(
+            &self.pool, g, &params, &mut ws
+        ));
         self.workspaces.restore(ws);
         out
     }
@@ -1464,14 +1223,13 @@ mod tests {
         assert_eq!(cluster, (0..8).collect::<Vec<u32>>());
     }
 
-    /// Builder knobs: threads and adopted pools.
+    /// Builder knobs: threads and shared pools.
     #[test]
     fn builder_threads_and_pool() {
         let g = gen::cycle(10);
         assert_eq!(Engine::builder(&g).threads(3).build().num_threads(), 3);
-        let adopted = Engine::builder(&g).pool(Pool::new(2)).build();
+        let adopted = Engine::builder(&g).shared_pool(Pool::shared(2)).build();
         assert_eq!(adopted.num_threads(), 2);
-        assert_eq!(Engine::new(&g).graph().num_vertices(), 10);
     }
 
     /// `&self` queries: several OS threads hammer one engine over a

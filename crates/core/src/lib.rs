@@ -67,14 +67,13 @@ mod seed;
 mod service;
 mod sweep;
 
-pub use batch::{run_batch, try_run_batch};
 pub use budget::{
     EngineLimits, InvalidSeed, LifecycleSnapshot, PartialResult, QueryBudget, QueryError,
     TrippedDiffusion, RETRY_AFTER_FLOOR,
 };
 pub use cache::{GraphCache, GraphSummary};
 pub use engine::{
-    Engine, EngineBuilder, EngineHandle, LocalDiffusion, Query, Workspace, WorkspaceBudgetExceeded,
+    Engine, EngineBuilder, LocalDiffusion, Query, Workspace, WorkspaceBudgetExceeded,
 };
 pub use evolving::{evolving_set_par, evolving_set_seq, EvolvingParams, EvolvingResult};
 pub use hkpr::{hkpr_par, hkpr_seq, psi_table, HkprParams};
@@ -87,7 +86,7 @@ pub use prnibble::{
 pub use rand_hkpr::{rand_hkpr_par, rand_hkpr_seq, RandHkprParams};
 pub use result::{ClusterResult, Diffusion, DiffusionStats};
 pub use seed::Seed;
-pub use service::{GraphStore, Service, ServiceBuilder, ServiceEngine};
+pub use service::{GraphStore, Service, ServiceBuilder};
 pub use sweep::{sweep_cut_par, sweep_cut_seq, SweepCut};
 
 // The direction-optimization knob carried by the diffusion param structs,

@@ -12,9 +12,9 @@
 //!   [`GraphCache`] of seed-independent state;
 //! * all of them share **one** thread [`Pool`] (an `Arc`, so the service
 //!   can also share it with anything else in the process);
-//! * queries run through `&self` handles — any number of OS threads can
-//!   call [`Service::engine`] and [`EngineHandle::run`] concurrently,
-//!   with scratch checked out per query and contention confined to a
+//! * each graph is served by an [`Engine`] — any number of OS threads
+//!   can call [`Service::engine`] and [`Engine::run`] concurrently, with
+//!   scratch checked out per query and contention confined to a
 //!   freelist pop/push.
 //!
 //! ```
@@ -37,18 +37,14 @@
 //!
 //! The determinism contract survives the sharing: a query answered
 //! through a warm, concurrently-hammered service is bit-identical to the
-//! same query on a cold single-thread [`Engine`](crate::Engine)
+//! same query on a cold single-thread [`Engine`]
 //! (`tests/service_properties.rs` enforces exactly that from multiple OS
 //! threads).
 
-use crate::budget::{EngineLimits, LifecycleSnapshot, QueryError};
+use crate::budget::{EngineLimits, LifecycleSnapshot};
 use crate::cache::{GraphCache, GraphSummary};
-use crate::engine::{default_workspace_budget, EngineCore, EngineHandle, PoolRef};
-use crate::ncp::{NcpParams, NcpPoint};
-use crate::result::{ClusterResult, Diffusion};
-use crate::seed::Seed;
-use crate::{Algorithm, Query};
-use lgc_graph::{CsrBackend, CsrCompressed, Graph};
+use crate::engine::{spawn_pool, with_graph, Engine, EngineGraph};
+use lgc_graph::{CsrBackend, CsrCompressed, CsrRef, Graph};
 use lgc_ligra::DirectionParams;
 use lgc_parallel::Pool;
 use std::sync::Arc;
@@ -89,28 +85,27 @@ impl From<Arc<CsrCompressed>> for GraphStore {
 }
 
 impl GraphStore {
+    /// The graph, for dispatch to the generic pipeline.
+    pub(crate) fn csr(&self) -> CsrRef<'_> {
+        match self {
+            GraphStore::Plain(g) => CsrRef::Plain(g),
+            GraphStore::Compressed(g) => CsrRef::Compressed(g),
+        }
+    }
+
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        match self {
-            GraphStore::Plain(g) => g.num_vertices(),
-            GraphStore::Compressed(g) => g.num_vertices(),
-        }
+        with_graph!(self.csr(), |g| g.num_vertices())
     }
 
     /// Number of undirected edges.
     pub fn num_edges(&self) -> usize {
-        match self {
-            GraphStore::Plain(g) => g.num_edges(),
-            GraphStore::Compressed(g) => g.num_edges(),
-        }
+        with_graph!(self.csr(), |g| g.num_edges())
     }
 
     /// Total resident bytes of the graph structure.
     pub fn memory_bytes(&self) -> usize {
-        match self {
-            GraphStore::Plain(g) => g.memory_bytes(),
-            GraphStore::Compressed(g) => g.memory_bytes(),
-        }
+        with_graph!(self.csr(), |g| g.memory_bytes())
     }
 
     /// The plain-CSR graph, if that is the backend.
@@ -120,22 +115,6 @@ impl GraphStore {
             GraphStore::Compressed(_) => None,
         }
     }
-
-    /// The byte-compressed graph, if that is the backend.
-    pub fn as_compressed(&self) -> Option<&Arc<CsrCompressed>> {
-        match self {
-            GraphStore::Plain(_) => None,
-            GraphStore::Compressed(g) => Some(g),
-        }
-    }
-}
-
-/// One registered graph: the graph itself plus its engine state
-/// (workspace checkout pool + cache) over the service's shared pool.
-struct GraphEntry {
-    name: String,
-    store: GraphStore,
-    core: EngineCore,
 }
 
 /// A shared-runtime, concurrent-query front door over any number of
@@ -146,7 +125,7 @@ struct GraphEntry {
 pub struct Service {
     pool: Arc<Pool>,
     dir: Option<DirectionParams>,
-    graphs: Vec<GraphEntry>,
+    graphs: Vec<(String, Engine<'static>)>,
 }
 
 impl Service {
@@ -160,40 +139,36 @@ impl Service {
         }
     }
 
-    /// A query handle for the graph registered as `name`, or `None` if
-    /// no such graph. The handle is `Copy` and `&self`-querying: grab
-    /// one per request, or keep one around — both are fine. It
-    /// dispatches to the graph's storage backend internally; results are
-    /// bit-identical across backends.
-    pub fn engine(&self, name: &str) -> Option<ServiceEngine<'_>> {
-        self.entry(name).map(|e| match &e.store {
-            GraphStore::Plain(g) => ServiceEngine::Plain(e.core.handle(g)),
-            GraphStore::Compressed(g) => ServiceEngine::Compressed(e.core.handle(g)),
-        })
+    /// The engine serving the graph registered as `name`, or `None` if
+    /// no such graph. Its query methods take `&self`: grab it per
+    /// request, or keep the reference around — both are fine. Results
+    /// are bit-identical across storage backends.
+    pub fn engine(&self, name: &str) -> Option<&Engine<'static>> {
+        self.graphs.iter().find(|(n, _)| n == name).map(|(_, e)| e)
     }
 
     /// The registered graph named `name`, if it uses the plain-CSR
     /// backend ([`Service::store`] reaches either backend).
     pub fn graph(&self, name: &str) -> Option<&Arc<Graph>> {
-        self.entry(name).and_then(|e| e.store.as_plain())
+        self.store(name).and_then(GraphStore::as_plain)
     }
 
     /// The storage backend of the graph named `name`.
     pub fn store(&self, name: &str) -> Option<&GraphStore> {
-        self.entry(name).map(|e| &e.store)
+        self.engine(name).and_then(Engine::store)
     }
 
     /// The seed-independent cache of the graph named `name` —
     /// observability (ψ hit rates) and warm introspection.
     pub fn cache(&self, name: &str) -> Option<&Arc<GraphCache>> {
-        self.entry(name).map(|e| e.core.cache())
+        self.engine(name).map(Engine::cache)
     }
 
     /// Robustness counters of the graph named `name` — admitted /
     /// completed / shed / tripped / in-flight, next to the cache and
     /// summary endpoints. A tenant dashboard polls this for shed rates.
     pub fn lifecycle(&self, name: &str) -> Option<LifecycleSnapshot> {
-        self.entry(name).map(|e| e.core.lifecycle())
+        self.engine(name).map(Engine::lifecycle_stats)
     }
 
     /// Summary statistics of the graph named `name`, served from its
@@ -201,15 +176,8 @@ impl Service {
     /// backend's resident byte counts, so a deployment can compare plain
     /// vs compressed storage per graph.
     pub fn summary(&self, name: &str) -> Option<GraphSummary> {
-        self.entry(name).map(|e| match &e.store {
-            GraphStore::Plain(g) => e.core.cache().summary(g.as_ref()),
-            GraphStore::Compressed(g) => e.core.cache().summary(g.as_ref()),
-        })
-    }
-
-    /// Registered graph names, in registration order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.graphs.iter().map(|e| e.name.as_str())
+        self.engine(name)
+            .map(|e| with_graph!(e.graph.csr(), |g| e.cache().summary(g)))
     }
 
     /// Registered graph names, sorted — the listing endpoint for
@@ -217,7 +185,7 @@ impl Service {
     /// page), where a stable order matters more than registration
     /// order.
     pub fn graph_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.graphs.iter().map(|e| e.name.clone()).collect();
+        let mut v: Vec<String> = self.graphs.iter().map(|(n, _)| n.clone()).collect();
         v.sort_unstable();
         v
     }
@@ -242,25 +210,6 @@ impl Service {
         self.insert(name.into(), graph.into(), EngineLimits::default());
     }
 
-    /// [`Service::add_graph`] with an explicit resident-workspace byte
-    /// budget for the graph's checkout pool (same semantics as
-    /// [`EngineBuilder::workspace_budget`](crate::EngineBuilder::workspace_budget)).
-    pub fn add_graph_with_budget(
-        &mut self,
-        name: impl Into<String>,
-        graph: impl Into<GraphStore>,
-        budget_bytes: usize,
-    ) {
-        self.insert(
-            name.into(),
-            graph.into(),
-            EngineLimits {
-                workspace_budget: Some(budget_bytes),
-                ..Default::default()
-            },
-        );
-    }
-
     /// [`Service::add_graph`] with the full per-graph [`EngineLimits`]
     /// bundle: workspace byte budget, in-flight admission cap, and the
     /// default [`QueryBudget`](crate::QueryBudget) every query on this
@@ -281,175 +230,24 @@ impl Service {
     }
 
     fn insert(&mut self, name: String, store: GraphStore, limits: EngineLimits) {
-        let budget = limits
-            .workspace_budget
-            .unwrap_or_else(|| default_workspace_budget(store.memory_bytes()));
-        let core = EngineCore::new(
-            PoolRef::Shared(Arc::clone(&self.pool)),
+        let engine = Engine::assemble(
+            EngineGraph::Shared(store),
+            Arc::clone(&self.pool),
             self.dir,
-            budget,
-            limits.max_in_flight,
-            limits.default_budget,
+            limits,
         );
-        let entry = GraphEntry { name, store, core };
-        match self.graphs.iter_mut().find(|e| e.name == entry.name) {
-            Some(slot) => *slot = entry,
-            None => self.graphs.push(entry),
+        match self.graphs.iter_mut().find(|(n, _)| *n == name) {
+            Some(slot) => slot.1 = engine,
+            None => self.graphs.push((name, engine)),
         }
     }
 
     /// Unregisters a graph; returns its store if it was registered.
     pub fn remove_graph(&mut self, name: &str) -> Option<GraphStore> {
-        let i = self.graphs.iter().position(|e| e.name == name)?;
-        Some(self.graphs.remove(i).store)
-    }
-
-    fn entry(&self, name: &str) -> Option<&GraphEntry> {
-        self.graphs.iter().find(|e| e.name == name)
-    }
-}
-
-/// A `Copy` query handle over one registered graph, dispatching each
-/// call to the graph's storage backend — the [`Service`] analogue of
-/// [`EngineHandle`], which it wraps. All methods take `&self` and may be
-/// called concurrently; results are bit-identical across backends.
-#[derive(Clone, Copy)]
-pub enum ServiceEngine<'a> {
-    /// Handle over a plain-CSR graph.
-    Plain(EngineHandle<'a, Graph>),
-    /// Handle over a byte-compressed graph.
-    Compressed(EngineHandle<'a, CsrCompressed>),
-}
-
-impl<'a> ServiceEngine<'a> {
-    /// The underlying thread pool.
-    pub fn pool(&self) -> &'a Pool {
-        match self {
-            ServiceEngine::Plain(h) => h.pool(),
-            ServiceEngine::Compressed(h) => h.pool(),
-        }
-    }
-
-    /// Total threads participating in each query.
-    pub fn num_threads(&self) -> usize {
-        self.pool().num_threads()
-    }
-
-    /// The graph's cache of seed-independent state.
-    pub fn cache(&self) -> &'a Arc<GraphCache> {
-        match self {
-            ServiceEngine::Plain(h) => h.cache(),
-            ServiceEngine::Compressed(h) => h.cache(),
-        }
-    }
-
-    /// See [`Engine::run`](crate::Engine::run).
-    pub fn run(&self, query: &Query) -> ClusterResult {
-        match self {
-            ServiceEngine::Plain(h) => h.run(query),
-            ServiceEngine::Compressed(h) => h.run(query),
-        }
-    }
-
-    /// See [`Engine::try_run`](crate::Engine::try_run): seed validation,
-    /// admission control, query budgets, and typed [`QueryError`]s with
-    /// partial results — the governed front door.
-    pub fn try_run(&self, query: &Query) -> Result<ClusterResult, QueryError> {
-        match self {
-            ServiceEngine::Plain(h) => h.try_run(query),
-            ServiceEngine::Compressed(h) => h.try_run(query),
-        }
-    }
-
-    /// See [`Engine::try_run_batch`](crate::Engine::try_run_batch).
-    pub fn try_run_batch(&self, queries: &[Query]) -> Vec<Result<ClusterResult, QueryError>> {
-        match self {
-            ServiceEngine::Plain(h) => h.try_run_batch(queries),
-            ServiceEngine::Compressed(h) => h.try_run_batch(queries),
-        }
-    }
-
-    /// See [`Engine::lifecycle_stats`](crate::Engine::lifecycle_stats).
-    pub fn lifecycle_stats(&self) -> LifecycleSnapshot {
-        match self {
-            ServiceEngine::Plain(h) => h.lifecycle_stats(),
-            ServiceEngine::Compressed(h) => h.lifecycle_stats(),
-        }
-    }
-
-    /// See [`Engine::diffuse`](crate::Engine::diffuse).
-    pub fn diffuse(&self, seed: &Seed, algo: &Algorithm) -> Diffusion {
-        match self {
-            ServiceEngine::Plain(h) => h.diffuse(seed, algo),
-            ServiceEngine::Compressed(h) => h.diffuse(seed, algo),
-        }
-    }
-
-    /// See [`Engine::run_batch`](crate::Engine::run_batch).
-    pub fn run_batch(&self, queries: &[Query]) -> Vec<ClusterResult> {
-        match self {
-            ServiceEngine::Plain(h) => h.run_batch(queries),
-            ServiceEngine::Compressed(h) => h.run_batch(queries),
-        }
-    }
-
-    /// See [`Engine::ncp`](crate::Engine::ncp).
-    pub fn ncp(&self, params: &NcpParams) -> Vec<NcpPoint> {
-        match self {
-            ServiceEngine::Plain(h) => h.ncp(params),
-            ServiceEngine::Compressed(h) => h.ncp(params),
-        }
-    }
-
-    /// See [`Engine::improve`](crate::Engine::improve).
-    pub fn improve(&self, result: &ClusterResult) -> crate::RefinedCut {
-        match self {
-            ServiceEngine::Plain(h) => h.improve(result),
-            ServiceEngine::Compressed(h) => h.improve(result),
-        }
-    }
-
-    /// See [`Engine::improve_set`](crate::Engine::improve_set).
-    pub fn improve_set(&self, cluster: &[u32]) -> crate::RefinedCut {
-        match self {
-            ServiceEngine::Plain(h) => h.improve_set(cluster),
-            ServiceEngine::Compressed(h) => h.improve_set(cluster),
-        }
-    }
-
-    /// See [`Engine::try_improve`](crate::Engine::try_improve).
-    pub fn try_improve(
-        &self,
-        result: &ClusterResult,
-        budget: &crate::QueryBudget,
-    ) -> Result<crate::RefinedCut, QueryError> {
-        match self {
-            ServiceEngine::Plain(h) => h.try_improve(result, budget),
-            ServiceEngine::Compressed(h) => h.try_improve(result, budget),
-        }
-    }
-
-    /// See [`Engine::compute_embedding`](crate::Engine::compute_embedding).
-    pub fn compute_embedding(&self, seed: u32, params: &crate::PipelineParams) -> crate::Embedding {
-        match self {
-            ServiceEngine::Plain(h) => h.compute_embedding(seed, params),
-            ServiceEngine::Compressed(h) => h.compute_embedding(seed, params),
-        }
-    }
-
-    /// See [`Engine::find_k_clusters`](crate::Engine::find_k_clusters).
-    pub fn find_k_clusters(&self, k: usize, params: &crate::PipelineParams) -> crate::KClusters {
-        match self {
-            ServiceEngine::Plain(h) => h.find_k_clusters(k, params),
-            ServiceEngine::Compressed(h) => h.find_k_clusters(k, params),
-        }
-    }
-
-    /// The plain-CSR handle, if that is the backend.
-    pub fn as_plain(&self) -> Option<EngineHandle<'a, Graph>> {
-        match self {
-            ServiceEngine::Plain(h) => Some(*h),
-            ServiceEngine::Compressed(_) => None,
+        let i = self.graphs.iter().position(|(n, _)| n == name)?;
+        match self.graphs.remove(i).1.graph {
+            EngineGraph::Shared(store) => Some(store),
+            EngineGraph::Borrowed(_) => None,
         }
     }
 }
@@ -496,27 +294,6 @@ impl ServiceBuilder {
         self.push(name.into(), graph.into(), EngineLimits::default())
     }
 
-    /// [`Self::add_graph`] with an explicit resident-workspace byte
-    /// budget for the graph's checkout pool.
-    ///
-    /// # Panics
-    /// If `name` is already registered.
-    pub fn add_graph_with_budget(
-        self,
-        name: impl Into<String>,
-        graph: impl Into<GraphStore>,
-        budget_bytes: usize,
-    ) -> Self {
-        self.push(
-            name.into(),
-            graph.into(),
-            EngineLimits {
-                workspace_budget: Some(budget_bytes),
-                ..Default::default()
-            },
-        )
-    }
-
     /// [`Self::add_graph`] with the full per-graph [`EngineLimits`]
     /// bundle (see [`Service::add_graph_with_limits`]).
     ///
@@ -551,12 +328,7 @@ impl ServiceBuilder {
     /// Builds the service (spawning the pool's workers if none was
     /// adopted).
     pub fn build(self) -> Service {
-        let pool = self.pool.unwrap_or_else(|| {
-            Arc::new(match self.threads {
-                Some(t) => Pool::new(t),
-                None => Pool::with_default_threads(),
-            })
-        });
+        let pool = self.pool.unwrap_or_else(|| spawn_pool(self.threads));
         let mut svc = Service {
             pool,
             dir: self.dir,
@@ -593,7 +365,7 @@ mod tests {
     fn registration_and_lookup() {
         let svc = two_graph_service(1);
         assert_eq!(svc.num_graphs(), 2);
-        assert_eq!(svc.names().collect::<Vec<_>>(), vec!["cliques", "local"]);
+        assert_eq!(svc.graph_names(), vec!["cliques", "local"]);
         assert!(svc.engine("cliques").is_some());
         assert!(svc.engine("absent").is_none());
         assert_eq!(svc.graph("cliques").unwrap().num_vertices(), 20);
@@ -610,11 +382,6 @@ mod tests {
             .add_graph("alpha", gen::cycle(5))
             .build();
         svc.add_graph("mid", gen::star(3));
-        // `names()` keeps registration order; `graph_names()` sorts.
-        assert_eq!(
-            svc.names().collect::<Vec<_>>(),
-            vec!["zeta", "alpha", "mid"]
-        );
         assert_eq!(svc.graph_names(), vec!["alpha", "mid", "zeta"]);
         svc.remove_graph("mid");
         assert_eq!(svc.graph_names(), vec!["alpha", "zeta"]);

@@ -68,6 +68,10 @@ pub trait CsrBackend: Send + Sync {
     /// Total resident bytes of the graph storage.
     fn memory_bytes(&self) -> usize;
 
+    /// This graph as a [`CsrRef`]: the one non-generic handle a caller
+    /// can store and later match back to the concrete backend.
+    fn as_csr(&self) -> CsrRef<'_>;
+
     /// `vol(S) = Σ_{v∈S} d(v)`.
     fn volume(&self, set: &[u32]) -> u64 {
         set.iter().map(|&v| self.degree(v) as u64).sum()
@@ -115,6 +119,19 @@ pub trait CsrBackend: Send + Sync {
         self.for_each_neighbor(v, |w| out.push(w));
         out
     }
+}
+
+/// A borrowed graph in either backend. Code that holds graphs of both
+/// kinds behind one type matches on this once per call and runs the
+/// monomorphized kernel for the arm it finds. It deliberately does not
+/// implement [`CsrBackend`]: that would put the match inside every
+/// per-edge call.
+#[derive(Clone, Copy)]
+pub enum CsrRef<'g> {
+    /// Plain CSR adjacency.
+    Plain(&'g Graph),
+    /// Byte-compressed adjacency.
+    Compressed(&'g CsrCompressed),
 }
 
 /// The uncompressed backend: the existing flat-array [`Graph`].
@@ -187,6 +204,10 @@ impl CsrBackend for Graph {
 
     fn max_degree(&self) -> usize {
         Graph::max_degree(self)
+    }
+
+    fn as_csr(&self) -> CsrRef<'_> {
+        CsrRef::Plain(self)
     }
 }
 
@@ -615,6 +636,10 @@ impl CsrBackend for CsrCompressed {
 
     fn memory_bytes(&self) -> usize {
         CsrCompressed::memory_bytes(self)
+    }
+
+    fn as_csr(&self) -> CsrRef<'_> {
+        CsrRef::Compressed(self)
     }
 }
 

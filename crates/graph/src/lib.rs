@@ -5,7 +5,7 @@
 //! the paper's §4 preprocessing), conductance/volume utilities (§2),
 //! connected components for seed selection, text I/O compatible with
 //! Ligra's `AdjacencyGraph` format, and the synthetic generator suite
-//! standing in for the paper's evaluation graphs (see `DESIGN.md` §3).
+//! standing in for the paper's evaluation graphs.
 
 pub mod backend;
 mod components;
@@ -15,7 +15,7 @@ mod induced;
 pub mod io;
 pub mod stats;
 
-pub use backend::{CsrBackend, CsrCompressed, CsrPlain};
+pub use backend::{CsrBackend, CsrCompressed, CsrPlain, CsrRef};
 pub use components::{connected_components, largest_component};
 pub use csr::{Graph, GraphBuilder};
 pub use induced::{induced_cut_subgraph, CutSubgraph};

@@ -7,8 +7,6 @@
 //! its vertices' degrees, never `O(|V|)`. That is what turns the diffusion
 //! algorithms' theoretical "local running time" into practice.
 //!
-//! * [`vertex_map`] applies a side-effecting function to every vertex of a
-//!   subset, in parallel over vertices.
 //! * [`edge_map`] applies an update function to every edge `(u, v)` with
 //!   `u` in the subset, in parallel over *edges* (two-level: the frontier's
 //!   edge space is flattened via a prefix sum over degrees, so one
@@ -40,7 +38,7 @@
 //! push traversal already touches most of the graph *and* pays an atomic
 //! RMW per edge, so the plain-write scan wins. [`DirectionParams`]
 //! implements Ligra's heuristic — pull when `|F| + vol(F) > m / 20`
-//! (tunable) — and [`edge_map_dir`] applies it automatically. [`Frontier`]
+//! (tunable), and the diffusions consult it once per iteration. [`Frontier`]
 //! carries both representations (sorted id list and bitset) with `O(len)`
 //! conversions so flip-flopping between directions never pays more than
 //! the iteration it serves.
@@ -149,16 +147,6 @@ impl From<VertexSubset> for Vec<u32> {
     }
 }
 
-/// Applies `f` to every vertex in `frontier`, in parallel.
-/// Work `O(|frontier|)`.
-pub fn vertex_map(pool: &Pool, frontier: &VertexSubset, f: impl Fn(u32) + Sync) {
-    pool.run(frontier.len(), 256, |s, e| {
-        for &v in &frontier.ids[s..e] {
-            f(v);
-        }
-    });
-}
-
 /// Applies `f(src, dst)` to every edge `(src, dst)` with `src ∈ frontier`,
 /// in parallel over the frontier's whole edge space.
 ///
@@ -251,7 +239,7 @@ pub enum Direction {
     Pull,
 }
 
-/// How [`edge_map_dir`] (and the diffusions) pick a direction.
+/// How the diffusions pick a direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DirectionMode {
     /// Ligra's heuristic: pull when `|F| + vol(F) > m / dense_denom`.
@@ -534,37 +522,6 @@ pub fn edge_map_dense_count<B: CsrBackend>(
     });
 }
 
-/// The direction-optimizing `edgeMap` (§2): picks push or pull per
-/// [`DirectionParams`] and runs `f(src, dst)` over the frontier's edges
-/// with the chosen engine. Returns the direction it took.
-///
-/// `f` must tolerate both calling conventions: concurrent per-edge calls
-/// (push — synchronize with atomics) and single-writer-per-destination
-/// calls (pull). Commutative atomic accumulation satisfies both.
-pub fn edge_map_dir<B: CsrBackend>(
-    pool: &Pool,
-    g: &B,
-    frontier: &mut Frontier,
-    params: &DirectionParams,
-    f: impl Fn(u32, u32) + Sync,
-) -> Direction {
-    if frontier.is_empty() {
-        return Direction::Push;
-    }
-    let (len, vol) = (frontier.len(), frontier.volume(g));
-    match params.choose(g, len, vol) {
-        Direction::Push => {
-            edge_map(pool, g, frontier.subset(), f);
-            Direction::Push
-        }
-        Direction::Pull => {
-            let bits = frontier.bits(pool, g.num_vertices());
-            edge_map_dense(pool, g, bits, f);
-            Direction::Pull
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,21 +543,6 @@ mod tests {
         let g = gen::star(5); // center 0 has degree 4, leaves degree 1
         let s = VertexSubset::from_sorted(vec![0, 1]);
         assert_eq!(s.volume(&g), 5);
-    }
-
-    #[test]
-    fn vertex_map_touches_exactly_the_subset() {
-        let pool = Pool::new(4);
-        let n = 1000;
-        let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let s = VertexSubset::from_unsorted((0..n as u32).filter(|v| v % 3 == 0).collect());
-        vertex_map(&pool, &s, |v| {
-            counts[v as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        for (v, count) in counts.iter().enumerate() {
-            let expect = usize::from(v % 3 == 0);
-            assert_eq!(count.load(Ordering::Relaxed), expect, "vertex {v}");
-        }
     }
 
     /// The Figure 2 semantics: edgeMap applies `f` to every edge incident
@@ -890,37 +832,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn edge_map_dir_switches_at_threshold() {
-        let g = gen::rand_local(3000, 5, 2);
-        let pool = Pool::new(2);
-        let count = AtomicUsize::new(0);
-        let bump = |_s: u32, _d: u32| {
-            count.fetch_add(1, Ordering::Relaxed);
-        };
-        let params = DirectionParams::default();
-        // A single low-degree vertex stays sparse.
-        let mut small = Frontier::single(0);
-        assert_eq!(
-            edge_map_dir(&pool, &g, &mut small, &params, bump),
-            Direction::Push
-        );
-        assert_eq!(count.swap(0, Ordering::Relaxed), g.degree(0));
-        // A frontier covering most of the graph goes dense — and still
-        // covers exactly its own edge volume.
-        let big_ids: Vec<u32> = (0..g.num_vertices() as u32).step_by(2).collect();
-        let mut big = Frontier::from_subset(VertexSubset::from_sorted(big_ids));
-        let vol = big.volume(&g);
-        assert_eq!(
-            edge_map_dir(&pool, &g, &mut big, &params, bump),
-            Direction::Pull
-        );
-        assert_eq!(count.load(Ordering::Relaxed), vol);
-        // Empty frontier is a no-op.
-        let mut empty = Frontier::from_subset(VertexSubset::empty());
-        edge_map_dir(&pool, &g, &mut empty, &params, |_, _| panic!("no edges"));
     }
 
     #[test]

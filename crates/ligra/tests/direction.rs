@@ -1,14 +1,11 @@
-//! Property tests for the direction-optimizing `edgeMap`: sparse push,
-//! dense pull, and the automatic wrapper must cover *exactly* the same
-//! edge set as a plain sequential reference over random graphs and
-//! adversarial frontier shapes (empty, full, skewed, sparse), at 1/2/4
-//! threads — and pull-mode accumulation must be bitwise deterministic.
+//! Property tests for the direction-optimizing `edgeMap`: sparse push
+//! and dense pull must cover *exactly* the same edge set as a plain
+//! sequential reference over random graphs and adversarial frontier
+//! shapes (empty, full, skewed, sparse), at 1/2/4 threads — and
+//! pull-mode accumulation must be bitwise deterministic.
 
 use lgc_graph::{gen, Graph};
-use lgc_ligra::{
-    edge_map, edge_map_dense, edge_map_dense_gather, edge_map_dir, DirectionParams, Frontier,
-    VertexSubset,
-};
+use lgc_ligra::{edge_map, edge_map_dense, edge_map_dense_gather, Frontier, VertexSubset};
 use lgc_parallel::{Bitset, Pool, UnsafeSlice};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,27 +95,6 @@ proptest! {
         bits.set_sorted(&pool, &ids);
         let pull = trace(&g, |f| edge_map_dense(&pool, &g, &bits, f));
         prop_assert_eq!(&pull, &want);
-    }
-
-    /// The automatic wrapper matches the reference at every threshold —
-    /// always-push, always-pull, Ligra's default, and an aggressive
-    /// denominator that flips mid-sized frontiers to pull.
-    #[test]
-    fn direction_wrapper_is_threshold_invariant((g, ids) in graph_and_frontier(), threads in 1usize..=4, denom in 1usize..200) {
-        let want = reference_trace(&g, &ids);
-        let pool = Pool::new(threads);
-        for params in [
-            DirectionParams::push_only(),
-            DirectionParams::pull_only(),
-            DirectionParams::default(),
-            DirectionParams { dense_denom: denom, ..Default::default() },
-        ] {
-            let mut frontier = Frontier::from_subset(VertexSubset::from_sorted(ids.clone()));
-            let got = trace(&g, |f| {
-                edge_map_dir(&pool, &g, &mut frontier, &params, f);
-            });
-            prop_assert_eq!(&got, &want, "params {:?}", params);
-        }
     }
 
     /// Pull-gather sums are bitwise identical across thread counts and

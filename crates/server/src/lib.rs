@@ -8,7 +8,7 @@
 //!  client ──TCP──▶ reader thread ──▶ two-class Scheduler ──▶ executor pool
 //!                     │                 (interactive ▶ bulk,     │
 //!                     │                  bounded, sheds)         ▼
-//!                     │                                   ServiceEngine::try_run
+//!                     │                                    Engine::try_run
 //!  client ◀──TCP── writer thread ◀── mpsc ◀───────────────────────┘
 //! ```
 //!
@@ -19,9 +19,9 @@
 //! connection funnel into one bounded two-class [`sched::Scheduler`];
 //! a small **executor** pool pops jobs — every queued interactive query
 //! ahead of any bulk query — and runs them through
-//! [`ServiceEngine::try_run`](lgc_core::ServiceEngine::try_run), which supplies the engine-side
-//! governance (admission control, workspace budgets, deadlines,
-//! cooperative cancellation) landed in the lifecycle PR.
+//! [`Engine::try_run`](lgc_core::Engine::try_run) on the tenant's engine,
+//! which supplies the engine-side governance (admission control,
+//! workspace budgets, deadlines, cooperative cancellation).
 //!
 //! Backpressure is explicit at three gates, each with a typed,
 //! retryable wire error carrying a `retry_after` hint:

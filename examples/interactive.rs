@@ -51,7 +51,8 @@ fn main() {
         service.num_graphs(),
         service.pool().num_threads(),
         service
-            .names()
+            .graph_names()
+            .iter()
             .map(|n| {
                 let s = service.summary(n).unwrap();
                 format!("{n} ({}v/{}e)", s.num_vertices, s.num_edges)
@@ -82,7 +83,7 @@ fn main() {
                 None
             }
             ["graphs"] => {
-                for name in service.names() {
+                for name in service.graph_names() {
                     let marker = if name == active { "*" } else { " " };
                     println!("{marker} {name}");
                 }
@@ -93,10 +94,7 @@ fn main() {
                     active = name.to_string();
                     println!("now querying '{active}'");
                 } else {
-                    println!(
-                        "unknown graph (have: {})",
-                        service.names().collect::<Vec<_>>().join(", ")
-                    );
+                    println!("unknown graph (have: {})", service.graph_names().join(", "));
                 }
                 None
             }

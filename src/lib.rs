@@ -11,7 +11,7 @@
 //! # Quickstart: the [`Service`]
 //!
 //! Register your graphs into a [`Service`] over one shared thread
-//! [`Pool`]; query through `&self` handles from as many OS threads as
+//! [`Pool`]; query each graph's [`Engine`] from as many OS threads as
 //! you like. Each graph keeps a checkout pool of warm workspaces (mass
 //! arenas, frontier bitsets, sweep tables) and a [`GraphCache`] of
 //! seed-independent state (HK-PR ψ tables, degree vector, statistics):
@@ -26,7 +26,7 @@
 //!     .add_graph("mesh", plgc::graph::gen::grid_3d(6, 6, 4))
 //!     .build();
 //!
-//! // Handles are Copy and `&self`-querying — grab one per request.
+//! // Engine queries take `&self` — look the engine up per request.
 //! let engine = service.engine("social").unwrap();
 //! let result = engine.run(&Query::new(
 //!     Seed::single(0),
@@ -52,8 +52,9 @@
 //!
 //! # Single graph: the [`Engine`]
 //!
-//! One graph, same machinery, no registry — an [`Engine`] borrows the
-//! graph and owns (or [shares](EngineBuilder::shared_pool)) its pool.
+//! One graph, same machinery, no registry — [`Engine::builder`] borrows
+//! the graph and spawns (or [shares](EngineBuilder::shared_pool)) a
+//! pool. It is the same type [`Service::engine`] returns.
 //! All query methods take `&self`:
 //!
 //! ```
@@ -77,25 +78,31 @@
 //! mix of queries across the pool with per-worker workspaces that stay
 //! warm across calls (deterministic, thread-count independent).
 //!
-//! # Migrating from the PR 3 `Engine` and the free functions
+//! # One query type
 //!
-//! Queries became `&self` (callers no longer need `mut` engines or a
-//! mutex around one), pools became shareable, and multi-graph hosting
-//! moved into [`Service`]:
+//! [`Engine`] is the only query type, and each operation has one public
+//! form. Older names map onto it as follows:
 //!
 //! | Old call | Current form |
 //! |---|---|
-//! | `engine.run(&q)` with `let mut engine` | same, `mut` no longer needed (`&self`) |
-//! | one mutex-guarded engine per graph | `Service` + `svc.engine("name")?` handles |
-//! | one `Pool` spawned per engine | `Pool::shared(t)` + `.shared_pool(..)` / `Service::builder().pool(..)` |
+//! | `engine.handle().run(&q)` | `engine.run(&q)` |
+//! | the per-backend `Copy` handle `svc.engine(name)` returned | `&Engine` |
+//! | `svc.engine(name)?.as_plain()` | `svc.graph(name)` |
+//! | `Engine::new(&g)` | `Engine::builder(&g).build()` |
+//! | `EngineBuilder::pool(pool)` | `.threads(t)` or `.shared_pool(Arc::new(pool))` |
+//! | `.workspace_budget(b)` / `.max_in_flight(n)` / `.default_budget(q)` | `.limits(EngineLimits { .. })` |
+//! | `add_graph_with_budget(name, g, b)` | `add_graph_with_limits(name, g, EngineLimits { workspace_budget: Some(b), .. })` |
+//! | `svc.names()` | `svc.graph_names()` (sorted) |
+//! | `store.as_compressed()` | `match store { GraphStore::Compressed(g) => .., .. }` |
+//! | `run_batch(&pool, &g, &qs)` / `try_run_batch` | `engine.run_batch(&qs)` / `engine.try_run_batch(&qs)` |
 //! | `find_cluster(&pool, &g, &seed, &algo)` | `engine.run(&Query::new(seed, algo))` |
-//! | `prnibble_par(&pool, &g, &seed, &p)` | `engine.diffuse(&seed, &Algorithm::PrNibble(p))` |
-//! | `nibble_par` / `hkpr_par` / `rand_hkpr_par` | `engine.diffuse(&seed, &Algorithm::…(p))` |
+//! | `prnibble_par` / `nibble_par` / `hkpr_par` / `rand_hkpr_par` | `engine.diffuse(&seed, &Algorithm::…(p))` |
 //! | `evolving_set_par(&pool, &g, &seed, &p)` | `engine.run(&Query::new(seed, Algorithm::Evolving(p)))` |
 //! | `ncp_prnibble(&pool, &g, &params)` | `engine.ncp(&params)` |
 //!
-//! The free functions remain available as thin wrappers (each runs the
-//! identical code path over a fresh, throwaway workspace).
+//! `find_cluster` and the `*_par` / `*_seq` free functions remain as
+//! the cold references the tests compare against: each runs the
+//! identical code path over a fresh, throwaway workspace.
 //!
 //! # Storage backends and memory budgets
 //!
@@ -113,7 +120,7 @@
 //! `run` degrades to transient scratch:
 //!
 //! ```
-//! use plgc::{Algorithm, CsrCompressed, PrNibbleParams, Query, Seed, Service};
+//! use plgc::{Algorithm, CsrCompressed, EngineLimits, PrNibbleParams, Query, Seed, Service};
 //!
 //! let g = plgc::graph::gen::two_cliques_bridge(16);
 //! let compact = CsrCompressed::from_graph(&g);
@@ -123,7 +130,8 @@
 //!     .add_graph("compact", compact)       // byte-compressed backend
 //!     .build();
 //! // Explicit workspace byte budget for a memory-tight tenant:
-//! service.add_graph_with_budget("tiny", plgc::graph::gen::cycle(64), 8 << 20);
+//! let tight = EngineLimits { workspace_budget: Some(8 << 20), ..Default::default() };
+//! service.add_graph_with_limits("tiny", plgc::graph::gen::cycle(64), tight);
 //! let q = Query::new(Seed::single(0), Algorithm::PrNibble(PrNibbleParams::default()));
 //! let a = service.engine("plain").unwrap().run(&q);
 //! let b = service.engine("compact").unwrap().run(&q);
@@ -136,15 +144,15 @@
 //! A server cannot afford one runaway query: a pathological `(seed, ε)`
 //! pair can push a "local" diffusion into touching most of a billion-edge
 //! graph. Every fallible entry point ([`Engine::try_run`],
-//! [`Engine::try_run_batch`], and their [`Service`] forms) is therefore
-//! *governed*:
+//! [`Engine::try_run_batch`], on a built engine or a [`Service`] one) is
+//! therefore *governed*:
 //!
 //! * **Budgets.** A [`QueryBudget`] bounds a query by wall-clock
 //!   deadline, by deterministic work counters (pushed mass updates,
 //!   traversed edges), or until a shared [`CancelToken`] flips. Budgets
 //!   ride on the [`Query`] and merge field-wise over the engine's
-//!   per-graph default ([`EngineBuilder::default_budget`],
-//!   [`EngineLimits`]). Checks are cooperative — one atomic load and a
+//!   per-graph default ([`EngineLimits::default_budget`], set with
+//!   [`EngineBuilder::limits`]). Checks are cooperative — one atomic load and a
 //!   coarse clock read per frontier iteration, never per edge — so the
 //!   hot kernels are untouched and *completed* runs are bit-identical
 //!   to unbudgeted ones.
@@ -157,7 +165,7 @@
 //!   thread counts and storage backends); deadline and cancellation
 //!   trips land wherever the clock does.
 //! * **Admission control.** Per-graph in-flight caps
-//!   ([`EngineBuilder::max_in_flight`]) shed excess arrivals with
+//!   ([`EngineLimits::max_in_flight`]) shed excess arrivals with
 //!   [`QueryError::Overloaded`] and a retry-after hint (the graph's mean
 //!   completed-query latency); seeds are validated against the graph
 //!   before any work ([`QueryError::InvalidSeed`]); workspace byte
@@ -170,14 +178,17 @@
 //!   [`Service::lifecycle`].
 //!
 //! ```
-//! use plgc::{Algorithm, Engine, PrNibbleParams, Query, QueryBudget, QueryError, Seed};
+//! use plgc::{Algorithm, Engine, EngineLimits, PrNibbleParams, Query, QueryBudget, QueryError, Seed};
 //! use std::time::Duration;
 //!
 //! let g = plgc::graph::gen::rand_local(500, 5, 3);
 //! let engine = Engine::builder(&g)
 //!     .threads(2)
-//!     .default_budget(QueryBudget::unlimited().with_deadline(Duration::from_secs(30)))
-//!     .max_in_flight(64)
+//!     .limits(EngineLimits {
+//!         default_budget: QueryBudget::unlimited().with_deadline(Duration::from_secs(30)),
+//!         max_in_flight: Some(64),
+//!         ..Default::default()
+//!     })
 //!     .build();
 //! // A tight work cap trips deterministically, with the partial result:
 //! let q = Query::new(
@@ -367,16 +378,16 @@ pub use lgc_core::FaultPlan;
 pub use lgc_core::{
     evolving_set_par, evolving_set_seq, find_cluster, hkpr_par, hkpr_seq, ncp_prnibble, nibble_par,
     nibble_seq, nibble_with_target_par, prnibble_par, prnibble_seq, rand_hkpr_par, rand_hkpr_seq,
-    run_batch, sweep_cut_par, sweep_cut_seq, try_run_batch, Algorithm, CancelToken, Checkpoint,
-    ClusterResult, Diffusion, DiffusionStats, Direction, DirectionMode, DirectionParams, Embedding,
-    Engine, EngineBuilder, EngineHandle, EngineLimits, EvolvingParams, GraphCache, GraphStore,
-    GraphSummary, HkprParams, InvalidSeed, KClusters, LifecycleSnapshot, LocalDiffusion, NcpParams,
-    NibbleParams, PartialResult, PipelineParams, PrNibbleParams, PushRule, Query, QueryBudget,
-    QueryError, RandHkprParams, RefineStats, RefinedCut, RhoGrid, Seed, Service, ServiceBuilder,
-    ServiceEngine, SweepCut, Trip, TrippedDiffusion, TrippedRefinement, Workspace,
-    WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
+    sweep_cut_par, sweep_cut_seq, Algorithm, CancelToken, Checkpoint, ClusterResult, Diffusion,
+    DiffusionStats, Direction, DirectionMode, DirectionParams, Embedding, Engine, EngineBuilder,
+    EngineLimits, EvolvingParams, GraphCache, GraphStore, GraphSummary, HkprParams, InvalidSeed,
+    KClusters, LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams, PartialResult,
+    PipelineParams, PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams,
+    RefineStats, RefinedCut, RhoGrid, Seed, Service, ServiceBuilder, SweepCut, Trip,
+    TrippedDiffusion, TrippedRefinement, Workspace, WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
 };
 pub use lgc_graph::{
-    induced_cut_subgraph, CsrBackend, CsrCompressed, CsrPlain, CutSubgraph, Graph, GraphBuilder,
+    induced_cut_subgraph, CsrBackend, CsrCompressed, CsrPlain, CsrRef, CutSubgraph, Graph,
+    GraphBuilder,
 };
 pub use lgc_parallel::Pool;

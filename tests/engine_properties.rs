@@ -181,7 +181,7 @@ proptest! {
     ) {
         let c = plgc::CsrCompressed::from_graph(&g);
         let plain = Engine::builder(&g).threads(threads).build();
-        let packed = Engine::builder(&c).pool(Pool::new(threads)).build();
+        let packed = Engine::builder(&c).threads(threads).build();
         for (kind, si, tweak) in specs {
             let seed = Seed::single(seeds[si % seeds.len()]);
             let algo = make_algo(kind, tweak);
@@ -215,7 +215,7 @@ proptest! {
         let pin = plgc::DirectionParams::pull_only();
         let plain = Engine::builder(&g).threads(threads).direction(pin).build();
         let packed = Engine::builder(&c)
-            .pool(Pool::new(threads))
+            .threads(threads)
             .direction(pin)
             .build();
         for (kind, si, tweak) in specs {
@@ -246,7 +246,7 @@ proptest! {
                 Query::new(Seed::single(seeds[si % seeds.len()]), make_algo(kind, tweak))
             })
             .collect();
-        let batch = plgc::run_batch(&Pool::new(threads), &g, &queries);
+        let batch = Engine::builder(&g).threads(threads).build().run_batch(&queries);
         let engine = Engine::builder(&g).threads(1).build();
         for (q, got) in queries.iter().zip(&batch) {
             let want = engine.run(q);

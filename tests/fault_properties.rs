@@ -124,7 +124,7 @@ fn l1_distance(a: &lgc::Diffusion, b: &lgc::Diffusion) -> f64 {
 /// query must answer `q` exactly like a cold fresh engine at the same
 /// thread count.
 fn assert_recovered<B: plgc::CsrBackend>(
-    engine: &Engine<'_, B>,
+    engine: &Engine<'_>,
     g: &B,
     q: &Query,
     threads: usize,
@@ -301,7 +301,13 @@ proptest! {
 #[test]
 fn overloaded_sheds_with_retry_hint() {
     let g = plgc::graph::gen::two_cliques_bridge(10);
-    let engine = Engine::builder(&g).threads(1).max_in_flight(0).build();
+    let engine = Engine::builder(&g)
+        .threads(1)
+        .limits(plgc::EngineLimits {
+            max_in_flight: Some(0),
+            ..Default::default()
+        })
+        .build();
     let q = Query::new(
         Seed::single(0),
         Algorithm::PrNibble(lgc::PrNibbleParams::default()),
@@ -485,7 +491,7 @@ mod fault_injected {
 
     /// One fault sweep instance; factored out so both backends share it.
     fn check_fault<B: plgc::CsrBackend>(
-        engine: &Engine<'_, B>,
+        engine: &Engine<'_>,
         g: &B,
         q: &Query,
         faulty: &Query,

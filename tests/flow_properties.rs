@@ -15,7 +15,7 @@
 
 use plgc::cluster as lgc;
 use plgc::{
-    Algorithm, CsrBackend, Engine, PipelineParams, Pool, Query, QueryBudget, QueryError, Seed, Trip,
+    Algorithm, CsrBackend, Engine, PipelineParams, Query, QueryBudget, QueryError, Seed, Trip,
 };
 use proptest::prelude::*;
 
@@ -96,7 +96,7 @@ proptest! {
         let c;
         let (plain_engine, packed_engine) = if compressed {
             c = plgc::CsrCompressed::from_graph(&g);
-            (None, Some(Engine::builder(&c).pool(Pool::new(threads)).build()))
+            (None, Some(Engine::builder(&c).threads(threads).build()))
         } else {
             (Some(Engine::builder(&g).threads(threads).build()), None)
         };
@@ -150,7 +150,7 @@ proptest! {
         let c = plgc::CsrCompressed::from_graph(&g);
         let base = Engine::builder(&g).threads(1).build();
         let wide = Engine::builder(&g).threads(threads).build();
-        let packed = Engine::builder(&c).pool(Pool::new(threads)).build();
+        let packed = Engine::builder(&c).threads(threads).build();
         let params = quick_pipeline();
         for &seed in seeds.iter().take(3) {
             let result = base.run(&Query::new(

@@ -15,7 +15,7 @@
 //!   diffusions are held to a tight `ℓ₁` tolerance.
 
 use plgc::cluster as lgc;
-use plgc::{Algorithm, Engine, Pool, Query, Seed, Service};
+use plgc::{Algorithm, CsrCompressed, Engine, GraphStore, Pool, Query, Seed, Service};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -90,22 +90,38 @@ fn l1_distance(a: &lgc::Diffusion, b: &lgc::Diffusion) -> f64 {
     dist
 }
 
-/// A two-tenant service: one power-law-ish graph, one locally-clustered
-/// one, both deterministic from the strategy's seed.
+/// A three-tenant service: one power-law-ish graph, one
+/// locally-clustered one, and a third on the byte-compressed backend,
+/// all deterministic from the strategy's seed.
 fn build_service(threads: usize, g_seed: u64) -> Service {
     let (sbm, _) = plgc::graph::gen::sbm(&[30, 30, 30, 30], 0.3, 0.01, g_seed);
+    let local = plgc::graph::gen::rand_local(200, 4, g_seed ^ 1);
     Service::builder()
         .pool(Pool::shared(threads))
         .add_graph("sbm", sbm)
         .add_graph("local", plgc::graph::gen::rand_local(200, 4, g_seed))
+        .add_graph("packed", CsrCompressed::from_graph(&local))
         .build()
+}
+
+/// The tenants of [`build_service`], indexed by the schedules' graph idx.
+const NAMES: [&str; 3] = ["sbm", "local", "packed"];
+
+/// A fresh engine over the tenant's own graph, on its own backend.
+fn cold_engine<'a>(svc: &'a Service, name: &str, threads: usize) -> Engine<'a> {
+    match svc.store(name).unwrap() {
+        GraphStore::Plain(g) => Engine::builder(g.as_ref()),
+        GraphStore::Compressed(g) => Engine::builder(g.as_ref()),
+    }
+    .threads(threads)
+    .build()
 }
 
 /// One client's schedule: `(graph idx, algorithm kind, seed vertex
 /// tweak, param tweak)` per query.
 fn schedules() -> impl Strategy<Value = Vec<Vec<(usize, usize, u32, u64)>>> {
     proptest::collection::vec(
-        proptest::collection::vec((0usize..2, 0usize..5, 0u32..60, 0u64..3), 2..6),
+        proptest::collection::vec((0usize..3, 0usize..5, 0u32..60, 0u64..3), 2..6),
         2..5, // number of concurrent client threads
     )
 }
@@ -122,7 +138,6 @@ proptest! {
         g_seed in 0u64..500,
     ) {
         let svc = build_service(1, g_seed);
-        let names = ["sbm", "local"];
         // Hammer the service concurrently, collecting (query, result).
         let answered: Vec<(usize, Query, lgc::ClusterResult)> =
             std::thread::scope(|scope| {
@@ -134,13 +149,13 @@ proptest! {
                             schedule
                                 .iter()
                                 .map(|&(gi, kind, vtweak, ptweak)| {
-                                    let g = svc.graph(names[gi]).unwrap();
-                                    let v = vtweak % g.num_vertices() as u32;
+                                    let n = svc.store(NAMES[gi]).unwrap().num_vertices();
+                                    let v = vtweak % n as u32;
                                     let q = Query::new(
                                         Seed::single(v),
                                         make_algo(kind, ptweak),
                                     );
-                                    let res = svc.engine(names[gi]).unwrap().run(&q);
+                                    let res = svc.engine(NAMES[gi]).unwrap().run(&q);
                                     (gi, q, res)
                                 })
                                 .collect::<Vec<_>>()
@@ -151,8 +166,7 @@ proptest! {
             });
         // Every answer matches its cold twin bit-for-bit.
         for (gi, q, got) in answered {
-            let g = svc.graph(names[gi]).unwrap();
-            let engine = Engine::builder(g.as_ref()).threads(1).build();
+            let engine = cold_engine(&svc, NAMES[gi], 1);
             let want = engine.run(&q);
             prop_assert_eq!(&got.diffusion.p, &want.diffusion.p, "{:?}", q.algo);
             prop_assert_eq!(got.diffusion.stats, want.diffusion.stats);
@@ -172,7 +186,6 @@ proptest! {
         g_seed in 0u64..500,
     ) {
         let svc = build_service(2, g_seed);
-        let names = ["sbm", "local"];
         let answered: Vec<(usize, Query, lgc::ClusterResult)> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = clients
@@ -183,13 +196,13 @@ proptest! {
                             schedule
                                 .iter()
                                 .map(|&(gi, kind, vtweak, ptweak)| {
-                                    let g = svc.graph(names[gi]).unwrap();
-                                    let v = vtweak % g.num_vertices() as u32;
+                                    let n = svc.store(NAMES[gi]).unwrap().num_vertices();
+                                    let v = vtweak % n as u32;
                                     let q = Query::new(
                                         Seed::single(v),
                                         make_algo(kind, ptweak),
                                     );
-                                    let res = svc.engine(names[gi]).unwrap().run(&q);
+                                    let res = svc.engine(NAMES[gi]).unwrap().run(&q);
                                     (gi, q, res)
                                 })
                                 .collect::<Vec<_>>()
@@ -199,8 +212,7 @@ proptest! {
                 handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
             });
         for (gi, q, got) in answered {
-            let g = svc.graph(names[gi]).unwrap();
-            let cold = lgc::find_cluster(&Pool::new(2), g.as_ref(), &q.seed, &q.algo);
+            let cold = cold_engine(&svc, NAMES[gi], 2).run(&q);
             if exact_at_any_threads(&q.algo) {
                 prop_assert_eq!(&got.diffusion.p, &cold.diffusion.p);
                 prop_assert_eq!(&got.cluster, &cold.cluster);
@@ -256,7 +268,11 @@ proptest! {
 fn exhausted_workspace_budget_is_a_typed_error_not_a_panic() {
     let g = plgc::graph::gen::rand_local(200, 4, 7);
     let mut svc = Service::builder().pool(Pool::shared(1)).build();
-    svc.add_graph_with_budget("tiny", g.clone(), 1);
+    let budget = |bytes| plgc::EngineLimits {
+        workspace_budget: Some(bytes),
+        ..Default::default()
+    };
+    svc.add_graph_with_limits("tiny", g.clone(), budget(1));
     let q = Query::new(
         Seed::single(0),
         Algorithm::PrNibble(lgc::PrNibbleParams::default()),
@@ -295,7 +311,7 @@ fn exhausted_workspace_budget_is_a_typed_error_not_a_panic() {
     assert_eq!(again.diffusion.p, cold.diffusion.p);
     assert_eq!(again.cluster, cold.cluster);
     // A roomy budget never denies this workload.
-    svc.add_graph_with_budget("roomy", g.clone(), 1 << 30);
+    svc.add_graph_with_limits("roomy", g.clone(), budget(1 << 30));
     assert!(svc.engine("roomy").unwrap().try_run(&q).is_ok());
     assert!(svc.engine("roomy").unwrap().try_run(&q).is_ok());
 }
