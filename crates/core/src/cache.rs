@@ -14,21 +14,17 @@
 //!   two CSR offset loads — the sweep's rank-order degree gather walks
 //!   it once per query);
 //! * summary statistics of the graph (served by introspection endpoints
-//!   without an `O(n)` rescan);
-//! * the high-watermark of sweep support sizes, used to pre-size fresh
-//!   rank tables so a new workspace checkout starts at the capacity the
-//!   query stream has already demonstrated it needs.
+//!   without an `O(n)` rescan).
 //!
 //! Every cached value is *bit-identical* to what an uncached run
 //! computes (ψ tables come from the same deterministic function; degrees
-//! are the same integers; rank-table capacity is observationally
-//! invisible because ranks are keyed, never enumerated), so cache hits
-//! cannot perturb the determinism contract — enforced by the ψ-cache
-//! equivalence proptest in `tests/service_properties.rs`.
+//! are the same integers), so cache hits cannot perturb the determinism
+//! contract — enforced by the ψ-cache equivalence proptest in
+//! `tests/service_properties.rs`.
 
 use lgc_graph::CsrBackend;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Summary statistics of a graph, computed once and served from memory.
@@ -78,7 +74,6 @@ pub struct GraphCache {
     psi_misses: AtomicU64,
     degrees: OnceLock<Arc<Vec<u32>>>,
     summary: OnceLock<GraphSummary>,
-    sweep_hint: AtomicUsize,
 }
 
 impl GraphCache {
@@ -149,21 +144,6 @@ impl GraphCache {
             }
         })
     }
-
-    /// Records that a sweep cut ran over a support of `n` vertices; the
-    /// running maximum sizes fresh rank tables.
-    pub(crate) fn note_sweep_support(&self, n: usize) {
-        self.sweep_hint.fetch_max(n, Ordering::Relaxed);
-    }
-
-    /// The largest sweep support seen so far (0 before any sweep) — the
-    /// capacity hint for freshly allocated rank tables. Rank tables are
-    /// keyed, never enumerated, so over-sizing is observationally
-    /// invisible (the same argument that lets `ConcurrentRankMap::reset`
-    /// keep a larger table).
-    pub fn sweep_hint(&self) -> usize {
-        self.sweep_hint.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -218,16 +198,5 @@ mod tests {
         assert_eq!(s.isolated, 0);
         // Second request is the same allocation.
         assert!(Arc::ptr_eq(&degs, &cache.degrees(&g)));
-    }
-
-    #[test]
-    fn sweep_hint_is_a_running_max() {
-        let cache = GraphCache::new();
-        assert_eq!(cache.sweep_hint(), 0);
-        cache.note_sweep_support(12);
-        cache.note_sweep_support(5);
-        assert_eq!(cache.sweep_hint(), 12);
-        cache.note_sweep_support(40);
-        assert_eq!(cache.sweep_hint(), 40);
     }
 }

@@ -124,8 +124,8 @@ impl Workspace {
 
     /// An empty workspace wired to a shared per-graph [`GraphCache`] —
     /// what the engine's workspace checkout pool hands out, so all
-    /// checkouts against one graph reuse the same ψ tables, degree
-    /// vector, and sizing hints.
+    /// checkouts against one graph reuse the same ψ tables and degree
+    /// vector.
     pub fn with_cache(cache: Arc<GraphCache>) -> Self {
         Workspace {
             cache: Some(cache),
@@ -182,18 +182,6 @@ impl Workspace {
                 .counts
                 .as_ref()
                 .map_or(0, ConcurrentSparseVec::resident_bytes)
-    }
-
-    /// Capacity hint for a fresh sweep rank table (0 when uncached).
-    pub(crate) fn sweep_hint(&self) -> usize {
-        self.cache.as_ref().map_or(0, |c| c.sweep_hint())
-    }
-
-    /// Records a sweep support size into the shared cache, if any.
-    pub(crate) fn note_sweep_support(&self, n: usize) {
-        if let Some(c) = &self.cache {
-            c.note_sweep_support(n);
-        }
     }
 
     /// Checks out a mass map re-fitted exactly as

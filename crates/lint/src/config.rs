@@ -102,6 +102,14 @@ impl Config {
                     "crates/bench/src/bin/bench_server.rs",
                     "closed-loop harness counters (bench-only binary)",
                 ),
+                (
+                    "perfbench/src/layers.rs",
+                    "relaxed sink stores that keep the timed dense gather from being optimized out (bench-only)",
+                ),
+                (
+                    "perfbench/src/served.rs",
+                    "load generator's Release/Acquire stop flag between the sampler and the bulk client (bench-only)",
+                ),
             ]
             .iter()
             .map(|(p, j)| (p.to_string(), j.to_string()))

@@ -1,8 +1,7 @@
 //! Parallel filter (a.k.a. pack) — `O(n)` work, logarithmic depth.
 //!
 //! The paper's algorithms use filter to build the next frontier from the
-//! vertices that exceed the diffusion threshold, and inside the parallel
-//! sweep cut to extract the last `Z`-array entry of each rank run.
+//! vertices that exceed the diffusion threshold.
 
 use crate::{default_grain, scan_exclusive, Pool, UnsafeSlice};
 

@@ -294,14 +294,16 @@ impl ConcurrentRankMap {
         }
     }
 
-    /// Empties the table, reallocating only if the current capacity
-    /// cannot hold `n` keys — the workspace-recycling hook for callers
-    /// (sweep rank assignment, rand-HK-PR destination compaction) whose
-    /// *results* are slot-order independent, so a kept-larger table is
-    /// observationally fine. Sequential point between phases.
+    /// Empties the table and re-fits it to exactly the capacity
+    /// [`with_capacity(n)`](Self::with_capacity) would allocate: the
+    /// allocation is kept when it already has that size and replaced
+    /// otherwise, so a recycled table is indistinguishable from a fresh
+    /// one and resetting costs `O(n)` — never the largest `n` the table
+    /// has ever held (the workspace-recycling hook of the sweep's rank
+    /// assignment and rand-HK-PR's destination compaction). Sequential
+    /// point between phases.
     pub fn reset(&mut self, pool: &Pool, n: usize) {
-        let needed = ConcurrentSparseVec::fresh_capacity(n);
-        if needed > self.capacity() {
+        if ConcurrentSparseVec::fresh_capacity(n) != self.capacity() {
             *self = ConcurrentRankMap::with_capacity(n);
             return;
         }
@@ -496,6 +498,10 @@ mod tests {
         m.reset(&pool, 10 * cap);
         assert!(m.capacity() > cap, "grew for larger bound");
         assert_eq!(m.get(3), None);
+        m.insert(7, 1);
+        m.reset(&pool, 400);
+        assert_eq!(m.capacity(), cap, "shrank back to the fresh capacity");
+        assert_eq!(m.get(7), None);
     }
 
     #[test]

@@ -214,14 +214,11 @@ fn main() {
     );
 
     // Observability: what the shared runtime amortized.
-    println!("\ncache / workspace state after the run:");
+    println!("\ncache state after the run:");
     for name in &tenants {
         let cache = service.cache(name).unwrap();
         let (hits, misses) = cache.psi_stats();
-        println!(
-            "  {name:<12} psi tables: {hits} hits / {misses} misses; sweep support high-watermark: {}",
-            cache.sweep_hint()
-        );
+        println!("  {name:<12} psi tables: {hits} hits / {misses} misses");
     }
 
     // Robustness: per-tenant lifecycle counters — who was admitted, who
