@@ -11,7 +11,8 @@
 //! For every suite graph and each of Nibble / PR-Nibble / HK-PR — plus an
 //! NCP scan, the paper's high-volume workload — it times the sequential
 //! algorithm, the **push-only** parallel one (the pre-direction-
-//! optimization engine, `DirectionParams::push_only()`), the
+//! optimization engine: an `Engine` pinned to `Direction::Push`, built
+//! per call so its scratch is as cold as the free functions'), the
 //! **direction-optimized** parallel one (cold free functions, fresh
 //! scratch per call), and the **warm-workspace** repeated-query path (a
 //! persistent `Engine` whose `Workspace` is recycled across queries), at
@@ -61,9 +62,8 @@
 
 use lgc_bench::{suite, suite_seed, time_best_of, SuiteGraph};
 use lgc_core as lgc;
-use lgc_core::{Engine, Seed, Service};
+use lgc_core::{Direction, Engine, Seed, Service};
 use lgc_graph::{CsrBackend, CsrCompressed};
-use lgc_ligra::DirectionParams;
 use lgc_parallel::Pool;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -307,7 +307,7 @@ fn bench_compression(sg: &SuiteGraph, reps: usize) -> CompRow {
         eps: 1e-6,
         ..Default::default()
     });
-    let pin = DirectionParams::pull_only();
+    let pin = Some(Direction::Pull);
     let mut pull_plain_s = [0.0; THREADS.len()];
     let mut pull_comp_s = [0.0; THREADS.len()];
     for (i, &t) in THREADS.iter().enumerate() {
@@ -362,12 +362,10 @@ fn service_queries(g: &lgc_graph::Graph, count: usize) -> Vec<lgc::Query> {
                     t: 10.0,
                     n_levels: 15,
                     eps: 1e-6,
-                    ..Default::default()
                 }),
                 _ => lgc::Algorithm::Nibble(lgc::NibbleParams {
                     t_max: 15,
                     eps: 1e-7,
-                    ..Default::default()
                 }),
             };
             lgc::Query::new(Seed::single(v), algo)
@@ -478,7 +476,6 @@ fn bench_graph(
     let nb = lgc::NibbleParams {
         t_max: 20,
         eps: 1e-7,
-        ..Default::default()
     };
     let pr = lgc::PrNibbleParams {
         alpha: 0.01,
@@ -489,7 +486,6 @@ fn bench_graph(
         t: 10.0,
         n_levels: 20,
         eps: 1e-6,
-        ..Default::default()
     };
     // A small NCP scan (§4): many PR-Nibble + sweep runs whose larger-ε
     // grid points spend most of their time in the high-volume regime.
@@ -501,62 +497,59 @@ fn bench_graph(
         ..Default::default()
     };
 
-    // `None` = the algorithm's own (tuned) default direction params;
-    // `Some(push_only)` = the pre-direction-optimization engine. `warm`
-    // runs the same work as `par(pool, None)` through the persistent
-    // engine at THREADS[i] — primed once before timing, so the recorded
-    // number is the amortized per-query latency with all scratch warm.
-    let mut row = |algorithm: &'static str,
-                   seq: &dyn Fn(),
-                   par: &dyn Fn(&Pool, Option<DirectionParams>),
-                   warm: &mut dyn FnMut(usize)| {
-        let (_, seq_s) = time_best_of(reps, seq);
-        let mut par_s = [0.0; THREADS.len()];
-        let mut push_s = [0.0; THREADS.len()];
-        let mut warm_s = [0.0; THREADS.len()];
-        for (i, ((dir_slot, push_slot), pool)) in par_s
-            .iter_mut()
-            .zip(push_s.iter_mut())
-            .zip(pools)
-            .enumerate()
-        {
-            let (_, secs) = time_best_of(reps, || par(pool, None));
-            *dir_slot = secs;
-            let (_, secs) = time_best_of(reps, || par(pool, Some(DirectionParams::push_only())));
-            *push_slot = secs;
-            warm(i); // prime the workspace
-            let (_, secs) = time_best_of(reps, || warm(i));
-            warm_s[i] = secs;
-        }
-        eprintln!(
-            "  {:<10} seq {:>8.1}ms  dir {:?}ms  push {:?}ms  warm {:?}ms",
-            algorithm,
-            seq_s * 1e3,
-            par_s.map(|s| (s * 1e4).round() / 10.0),
-            push_s.map(|s| (s * 1e4).round() / 10.0),
-            warm_s.map(|s| (s * 1e4).round() / 10.0)
-        );
-        rows.push(Row {
-            graph: sg.name.to_string(),
-            algorithm,
-            seq_s,
-            par_s,
-            push_s: Some(push_s),
-            warm_s: Some(warm_s),
-        });
-    };
+    // `par` runs the cold free function (each iteration picks its own
+    // direction); `query` runs the same work through an engine: a
+    // push-pinned one built per timed call over the same pool (cold
+    // scratch, like `par`: the pre-direction-optimization engine), and
+    // the persistent engine at THREADS[i] — primed once before timing, so
+    // the `warm` number is the amortized per-query latency with all
+    // scratch warm.
+    let mut row =
+        |algorithm: &'static str, seq: &dyn Fn(), par: &dyn Fn(&Pool), query: &dyn Fn(&Engine)| {
+            let (_, seq_s) = time_best_of(reps, seq);
+            let mut par_s = [0.0; THREADS.len()];
+            let mut push_s = [0.0; THREADS.len()];
+            let mut warm_s = [0.0; THREADS.len()];
+            for (i, pool) in pools.iter().enumerate() {
+                (_, par_s[i]) = time_best_of(reps, || par(pool));
+                (_, push_s[i]) = time_best_of(reps, || {
+                    let pinned = Engine::builder(g)
+                        .shared_pool(Arc::clone(pool))
+                        .direction(Some(Direction::Push))
+                        .build();
+                    query(&pinned);
+                });
+                query(&engines[i]); // prime the workspace
+                (_, warm_s[i]) = time_best_of(reps, || query(&engines[i]));
+            }
+            eprintln!(
+                "  {:<10} seq {:>8.1}ms  dir {:?}ms  push {:?}ms  warm {:?}ms",
+                algorithm,
+                seq_s * 1e3,
+                par_s.map(|s| (s * 1e4).round() / 10.0),
+                push_s.map(|s| (s * 1e4).round() / 10.0),
+                warm_s.map(|s| (s * 1e4).round() / 10.0)
+            );
+            rows.push(Row {
+                graph: sg.name.to_string(),
+                algorithm,
+                seq_s,
+                par_s,
+                push_s: Some(push_s),
+                warm_s: Some(warm_s),
+            });
+        };
 
     row(
         "nibble",
         &|| {
             lgc::nibble_seq(g, &seed, &nb);
         },
-        &|pool, dir| {
-            let dir = dir.unwrap_or(nb.dir);
-            lgc::nibble_par(pool, g, &seed, &lgc::NibbleParams { dir, ..nb });
+        &|pool| {
+            lgc::nibble_par(pool, g, &seed, &nb);
         },
-        &mut |i| {
-            engines[i].diffuse(&seed, &lgc::Algorithm::Nibble(nb));
+        &|engine| {
+            engine.diffuse(&seed, &lgc::Algorithm::Nibble(nb));
         },
     );
     row(
@@ -564,12 +557,11 @@ fn bench_graph(
         &|| {
             lgc::prnibble_seq(g, &seed, &pr);
         },
-        &|pool, dir| {
-            let dir = dir.unwrap_or(pr.dir);
-            lgc::prnibble_par(pool, g, &seed, &lgc::PrNibbleParams { dir, ..pr });
+        &|pool| {
+            lgc::prnibble_par(pool, g, &seed, &pr);
         },
-        &mut |i| {
-            engines[i].diffuse(&seed, &lgc::Algorithm::PrNibble(pr));
+        &|engine| {
+            engine.diffuse(&seed, &lgc::Algorithm::PrNibble(pr));
         },
     );
     row(
@@ -577,12 +569,11 @@ fn bench_graph(
         &|| {
             lgc::hkpr_seq(g, &seed, &hk);
         },
-        &|pool, dir| {
-            let dir = dir.unwrap_or(hk.dir);
-            lgc::hkpr_par(pool, g, &seed, &lgc::HkprParams { dir, ..hk });
+        &|pool| {
+            lgc::hkpr_par(pool, g, &seed, &hk);
         },
-        &mut |i| {
-            engines[i].diffuse(&seed, &lgc::Algorithm::Hkpr(hk));
+        &|engine| {
+            engine.diffuse(&seed, &lgc::Algorithm::Hkpr(hk));
         },
     );
     let seq_pool = Pool::sequential();
@@ -591,12 +582,11 @@ fn bench_graph(
         &|| {
             lgc::ncp_prnibble(&seq_pool, g, &ncp);
         },
-        &|pool, dir| {
-            let dir = dir.unwrap_or(ncp.dir);
-            lgc::ncp_prnibble(pool, g, &lgc::NcpParams { dir, ..ncp.clone() });
+        &|pool| {
+            lgc::ncp_prnibble(pool, g, &ncp);
         },
-        &mut |i| {
-            engines[i].ncp(&ncp);
+        &|engine| {
+            engine.ncp(&ncp);
         },
     );
 

@@ -35,7 +35,7 @@ impl Engine<'_> {
     /// invisible), so the output does not depend on the thread count.
     pub fn run_batch(&self, queries: &[Query]) -> Vec<ClusterResult> {
         with_graph!(self.graph.csr(), |g| self.fan_out(queries, |sub, ws, q| {
-            run_query(sub, g, ws, &q.seed, &self.resolve(&q.algo))
+            run_query(sub, g, ws, &q.seed, &q.algo, self.dir)
         }))
     }
 
@@ -114,13 +114,11 @@ mod tests {
                     1 => Algorithm::Nibble(NibbleParams {
                         t_max: 10,
                         eps: 1e-6,
-                        ..Default::default()
                     }),
                     2 => Algorithm::Hkpr(HkprParams {
                         t: 4.0,
                         n_levels: 8,
                         eps: 1e-5,
-                        ..Default::default()
                     }),
                     3 => Algorithm::RandHkpr(RandHkprParams {
                         walks: 2_000,

@@ -65,7 +65,7 @@ use crate::service::GraphStore;
 use crate::sweep::sweep_cut_par_ws;
 use crate::{Algorithm, EvolvingParams, HkprParams, NibbleParams, PrNibbleParams, RandHkprParams};
 use lgc_graph::{CsrBackend, CsrRef};
-use lgc_ligra::{Checkpoint, DirectionParams, Frontier, Trip, VertexSubset};
+use lgc_ligra::{Checkpoint, Direction, Frontier, Trip, VertexSubset};
 use lgc_parallel::{Bitset, Pool};
 use lgc_sparse::{ConcurrentRankMap, ConcurrentSparseVec, MassMap};
 use std::sync::{Arc, Mutex};
@@ -184,15 +184,15 @@ impl Workspace {
                 .map_or(0, ConcurrentSparseVec::resident_bytes)
     }
 
-    /// Checks out a mass map re-fitted exactly as
-    /// `MassMap::with_dense_fraction(n, bound, frac)` would build it.
-    pub(crate) fn take_mass(&mut self, pool: &Pool, n: usize, bound: usize, frac: f64) -> MassMap {
+    /// Checks out a mass map re-fitted exactly as `MassMap::new(n, bound)`
+    /// would build it.
+    pub(crate) fn take_mass(&mut self, pool: &Pool, n: usize, bound: usize) -> MassMap {
         match self.mass.pop() {
             Some(mut m) => {
-                m.recycle(pool, n, bound, frac);
+                m.recycle(pool, n, bound);
                 m
             }
-            None => MassMap::with_dense_fraction(n, bound, frac),
+            None => MassMap::new(n, bound),
         }
     }
 
@@ -419,6 +419,9 @@ pub trait LocalDiffusion {
     /// Runs the work-efficient parallel algorithm from `seed`, checking
     /// scratch buffers out of `ws` (and returning them) instead of
     /// allocating, and consulting `cp` once per frontier iteration.
+    /// `dir` pins the traversal of every `edgeMap`; `None` lets each
+    /// iteration choose by the algorithm's own density rule (rand-HK-PR
+    /// walks one vertex at a time and ignores it).
     /// When the checkpoint trips, the mass settled up to the last
     /// completed iteration comes back as [`TrippedDiffusion::partial`]
     /// with every workspace buffer already returned — the checkout is
@@ -430,14 +433,15 @@ pub trait LocalDiffusion {
         g: &B,
         seed: &Seed,
         ws: &mut Workspace,
+        dir: Option<Direction>,
         cp: &Checkpoint,
     ) -> Result<Diffusion, TrippedDiffusion>;
 
     /// Runs the work-efficient parallel algorithm from `seed`, checking
     /// scratch buffers out of `ws` (and returning them) instead of
-    /// allocating. Passing a fresh [`Workspace`] is exactly the free
-    /// function; passing a warm one gives the same bits without the
-    /// allocator traffic. Generic over the CSR backend — plain and
+    /// allocating. Passing a fresh [`Workspace`] and `dir = None` is
+    /// exactly the free function; passing a warm one gives the same bits
+    /// without the allocator traffic. Generic over the CSR backend — plain and
     /// byte-compressed adjacency produce bit-identical output because
     /// both enumerate neighbors in ascending order.
     fn diffuse<B: CsrBackend>(
@@ -446,8 +450,9 @@ pub trait LocalDiffusion {
         g: &B,
         seed: &Seed,
         ws: &mut Workspace,
+        dir: Option<Direction>,
     ) -> Diffusion {
-        match self.diffuse_guarded(pool, g, seed, ws, &Checkpoint::unlimited()) {
+        match self.diffuse_guarded(pool, g, seed, ws, dir, &Checkpoint::unlimited()) {
             Ok(d) => d,
             Err(_) => unreachable!("an unlimited checkpoint never trips"),
         }
@@ -455,14 +460,6 @@ pub trait LocalDiffusion {
 
     /// Runs the sequential reference implementation (fresh state).
     fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion;
-
-    /// A copy of the parameters with the direction-optimization knob
-    /// replaced — the hook [`Engine`]'s global direction override uses.
-    /// Algorithms without an `edgeMap` traversal (rand-HK-PR walks its
-    /// edges one vertex at a time) return themselves unchanged.
-    fn with_direction(&self, dir: DirectionParams) -> Self
-    where
-        Self: Sized;
 }
 
 impl LocalDiffusion for NibbleParams {
@@ -475,15 +472,13 @@ impl LocalDiffusion for NibbleParams {
         g: &B,
         seed: &Seed,
         ws: &mut Workspace,
+        dir: Option<Direction>,
         cp: &Checkpoint,
     ) -> Result<Diffusion, TrippedDiffusion> {
-        crate::nibble::nibble_par_ws(pool, g, seed, self, ws, cp)
+        crate::nibble::nibble_par_ws(pool, g, seed, self, ws, dir, cp)
     }
     fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion {
         crate::nibble::nibble_seq(g, seed, self)
-    }
-    fn with_direction(&self, dir: DirectionParams) -> Self {
-        NibbleParams { dir, ..*self }
     }
 }
 
@@ -497,15 +492,13 @@ impl LocalDiffusion for PrNibbleParams {
         g: &B,
         seed: &Seed,
         ws: &mut Workspace,
+        dir: Option<Direction>,
         cp: &Checkpoint,
     ) -> Result<Diffusion, TrippedDiffusion> {
-        crate::prnibble::prnibble_par_ws(pool, g, seed, self, ws, cp)
+        crate::prnibble::prnibble_par_ws(pool, g, seed, self, ws, dir, cp)
     }
     fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion {
         crate::prnibble::prnibble_seq(g, seed, self)
-    }
-    fn with_direction(&self, dir: DirectionParams) -> Self {
-        PrNibbleParams { dir, ..*self }
     }
 }
 
@@ -519,15 +512,13 @@ impl LocalDiffusion for HkprParams {
         g: &B,
         seed: &Seed,
         ws: &mut Workspace,
+        dir: Option<Direction>,
         cp: &Checkpoint,
     ) -> Result<Diffusion, TrippedDiffusion> {
-        crate::hkpr::hkpr_par_ws(pool, g, seed, self, ws, cp)
+        crate::hkpr::hkpr_par_ws(pool, g, seed, self, ws, dir, cp)
     }
     fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion {
         crate::hkpr::hkpr_seq(g, seed, self)
-    }
-    fn with_direction(&self, dir: DirectionParams) -> Self {
-        HkprParams { dir, ..*self }
     }
 }
 
@@ -541,16 +532,13 @@ impl LocalDiffusion for RandHkprParams {
         g: &B,
         seed: &Seed,
         ws: &mut Workspace,
+        _dir: Option<Direction>,
         cp: &Checkpoint,
     ) -> Result<Diffusion, TrippedDiffusion> {
         crate::rand_hkpr::rand_hkpr_par_ws(pool, g, seed, self, ws, cp)
     }
     fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion {
         crate::rand_hkpr::rand_hkpr_seq(g, seed, self)
-    }
-    /// Monte-Carlo walks have no frontier traversal to direction-optimize.
-    fn with_direction(&self, _dir: DirectionParams) -> Self {
-        *self
     }
 }
 
@@ -568,9 +556,10 @@ impl LocalDiffusion for EvolvingParams {
         g: &B,
         seed: &Seed,
         ws: &mut Workspace,
+        dir: Option<Direction>,
         cp: &Checkpoint,
     ) -> Result<Diffusion, TrippedDiffusion> {
-        match evolving_set_par_ws(pool, g, seed, self, ws, cp) {
+        match evolving_set_par_ws(pool, g, seed, self, ws, dir, cp) {
             Ok(res) => Ok(res.indicator()),
             Err((trip, res)) => Err(TrippedDiffusion {
                 trip,
@@ -580,9 +569,6 @@ impl LocalDiffusion for EvolvingParams {
     }
     fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion {
         crate::evolving::evolving_set_seq(g, seed, self).indicator()
-    }
-    fn with_direction(&self, dir: DirectionParams) -> Self {
-        EvolvingParams { dir, ..*self }
     }
 }
 
@@ -602,14 +588,15 @@ impl LocalDiffusion for Algorithm {
         g: &B,
         seed: &Seed,
         ws: &mut Workspace,
+        dir: Option<Direction>,
         cp: &Checkpoint,
     ) -> Result<Diffusion, TrippedDiffusion> {
         match self {
-            Algorithm::Nibble(p) => p.diffuse_guarded(pool, g, seed, ws, cp),
-            Algorithm::PrNibble(p) => p.diffuse_guarded(pool, g, seed, ws, cp),
-            Algorithm::Hkpr(p) => p.diffuse_guarded(pool, g, seed, ws, cp),
-            Algorithm::RandHkpr(p) => p.diffuse_guarded(pool, g, seed, ws, cp),
-            Algorithm::Evolving(p) => p.diffuse_guarded(pool, g, seed, ws, cp),
+            Algorithm::Nibble(p) => p.diffuse_guarded(pool, g, seed, ws, dir, cp),
+            Algorithm::PrNibble(p) => p.diffuse_guarded(pool, g, seed, ws, dir, cp),
+            Algorithm::Hkpr(p) => p.diffuse_guarded(pool, g, seed, ws, dir, cp),
+            Algorithm::RandHkpr(p) => p.diffuse_guarded(pool, g, seed, ws, dir, cp),
+            Algorithm::Evolving(p) => p.diffuse_guarded(pool, g, seed, ws, dir, cp),
         }
     }
     fn diffuse_seq<B: CsrBackend>(&self, g: &B, seed: &Seed) -> Diffusion {
@@ -619,15 +606,6 @@ impl LocalDiffusion for Algorithm {
             Algorithm::Hkpr(p) => p.diffuse_seq(g, seed),
             Algorithm::RandHkpr(p) => p.diffuse_seq(g, seed),
             Algorithm::Evolving(p) => p.diffuse_seq(g, seed),
-        }
-    }
-    fn with_direction(&self, dir: DirectionParams) -> Self {
-        match self {
-            Algorithm::Nibble(p) => Algorithm::Nibble(p.with_direction(dir)),
-            Algorithm::PrNibble(p) => Algorithm::PrNibble(p.with_direction(dir)),
-            Algorithm::Hkpr(p) => Algorithm::Hkpr(p.with_direction(dir)),
-            Algorithm::RandHkpr(p) => Algorithm::RandHkpr(p.with_direction(dir)),
-            Algorithm::Evolving(p) => Algorithm::Evolving(p.with_direction(dir)),
         }
     }
 }
@@ -668,14 +646,16 @@ impl Query {
 /// One full query: diffusion + rounding, over a shared workspace. The
 /// single code path behind [`crate::find_cluster`], [`Engine::run`], and
 /// each batch worker — which is what makes the three agree bit-for-bit.
+/// `dir` is the engine's direction pin (`None` = each algorithm's rule).
 pub(crate) fn run_query<B: CsrBackend>(
     pool: &Pool,
     g: &B,
     ws: &mut Workspace,
     seed: &Seed,
     algo: &Algorithm,
+    dir: Option<Direction>,
 ) -> ClusterResult {
-    match try_run_query(pool, g, ws, seed, algo, &Checkpoint::unlimited()) {
+    match try_run_query(pool, g, ws, seed, algo, dir, &Checkpoint::unlimited()) {
         Ok(res) => res,
         Err(_) => unreachable!("an unlimited checkpoint never trips"),
     }
@@ -696,12 +676,13 @@ pub(crate) fn try_run_query<B: CsrBackend>(
     ws: &mut Workspace,
     seed: &Seed,
     algo: &Algorithm,
+    dir: Option<Direction>,
     cp: &Checkpoint,
 ) -> Result<ClusterResult, (Trip, Box<PartialResult>)> {
     if let Algorithm::Evolving(p) = algo {
         // The evolving-set process reports its best set directly — a
         // tripped run's best-so-far *is* its normal output shape.
-        return match evolving_set_par_ws(pool, g, seed, p, ws, cp) {
+        return match evolving_set_par_ws(pool, g, seed, p, ws, dir, cp) {
             Ok(res) => Ok(ClusterResult::from_evolving(res)),
             Err((trip, res)) => {
                 let res = ClusterResult::from_evolving(res);
@@ -716,7 +697,7 @@ pub(crate) fn try_run_query<B: CsrBackend>(
             }
         };
     }
-    let (diffusion, tripped) = match algo.diffuse_guarded(pool, g, seed, ws, cp) {
+    let (diffusion, tripped) = match algo.diffuse_guarded(pool, g, seed, ws, dir, cp) {
         Ok(d) => (d, None),
         Err(t) => (t.partial, Some(t.trip)),
     };
@@ -784,7 +765,7 @@ pub struct EngineBuilder<'g> {
     g: CsrRef<'g>,
     threads: Option<usize>,
     pool: Option<Arc<Pool>>,
-    dir: Option<DirectionParams>,
+    dir: Option<Direction>,
     limits: EngineLimits,
 }
 
@@ -805,12 +786,14 @@ impl<'g> EngineBuilder<'g> {
         self
     }
 
-    /// Overrides the direction-optimization knob of *every* query run
-    /// through the engine, replacing the per-algorithm tuned defaults —
-    /// e.g. `DirectionParams::push_only()` to benchmark the
-    /// pre-direction-optimization engine fleet-wide.
-    pub fn direction(mut self, dir: DirectionParams) -> Self {
-        self.dir = Some(dir);
+    /// Pins the traversal of every `edgeMap` in every query run through
+    /// the engine: `Some(Direction::Push)` is the
+    /// pre-direction-optimization engine, `Some(Direction::Pull)` the
+    /// dense gather throughout. `None` (the default) lets each iteration
+    /// choose by its algorithm's tuned density rule. Results are
+    /// direction-invariant, so the pin is for tests and benchmarks.
+    pub fn direction(mut self, dir: Option<Direction>) -> Self {
+        self.dir = dir;
         self
     }
 
@@ -857,7 +840,7 @@ pub(crate) fn spawn_pool(threads: Option<usize>) -> Arc<Pool> {
 pub struct Engine<'g> {
     pub(crate) graph: EngineGraph<'g>,
     pub(crate) pool: Arc<Pool>,
-    dir: Option<DirectionParams>,
+    pub(crate) dir: Option<Direction>,
     pub(crate) workspaces: WorkspacePool,
     max_in_flight: Option<usize>,
     pub(crate) default_budget: QueryBudget,
@@ -884,7 +867,7 @@ impl<'g> Engine<'g> {
     pub(crate) fn assemble(
         graph: EngineGraph<'g>,
         pool: Arc<Pool>,
-        dir: Option<DirectionParams>,
+        dir: Option<Direction>,
         limits: EngineLimits,
     ) -> Self {
         let budget = limits.workspace_budget.unwrap_or_else(|| {
@@ -933,14 +916,6 @@ impl<'g> Engine<'g> {
         self.workspaces.warm_count()
     }
 
-    /// Applies the engine-level direction override, if any.
-    pub(crate) fn resolve(&self, algo: &Algorithm) -> Algorithm {
-        match self.dir {
-            Some(dir) => algo.with_direction(dir),
-            None => algo.clone(),
-        }
-    }
-
     /// Runs one full query — diffusion plus sweep-cut rounding (the
     /// evolving-set process reports its best set directly; see
     /// [`ClusterResult::from_evolving`]) — over a workspace checked out
@@ -951,14 +926,14 @@ impl<'g> Engine<'g> {
         self.counters.note_admitted();
         // lgc-lint: allow(determinism) -- latency metric feeding note_completed only; never a query decision
         let t0 = Instant::now();
-        let algo = self.resolve(&query.algo);
         let mut ws = self.workspaces.checkout();
         let out = with_graph!(self.graph.csr(), |g| run_query(
             &self.pool,
             g,
             &mut ws,
             &query.seed,
-            &algo
+            &query.algo,
+            self.dir
         ));
         self.workspaces.restore(ws);
         self.counters.note_completed(t0.elapsed());
@@ -1024,12 +999,11 @@ impl<'g> Engine<'g> {
         ws: &mut Workspace,
         query: &Query,
     ) -> Result<ClusterResult, QueryError> {
-        let algo = self.resolve(&query.algo);
         let cp = query.budget.or(&self.default_budget).checkpoint();
         self.counters.note_admitted();
         // lgc-lint: allow(determinism) -- latency metric feeding note_completed only; never a query decision
         let t0 = Instant::now();
-        match try_run_query(pool, g, ws, &query.seed, &algo, &cp) {
+        match try_run_query(pool, g, ws, &query.seed, &query.algo, self.dir, &cp) {
             Ok(res) => {
                 self.counters.note_completed(t0.elapsed());
                 Ok(res)
@@ -1050,10 +1024,9 @@ impl<'g> Engine<'g> {
     /// Runs just the diffusion of `algo` from `seed` (no sweep).
     /// Equivalent to the algorithm's `*_par` free function.
     pub fn diffuse(&self, seed: &Seed, algo: &Algorithm) -> Diffusion {
-        let algo = self.resolve(algo);
         let mut ws = self.workspaces.checkout();
         let out = with_graph!(self.graph.csr(), |g| algo
-            .diffuse(&self.pool, g, seed, &mut ws));
+            .diffuse(&self.pool, g, seed, &mut ws, self.dir));
         self.workspaces.restore(ws);
         out
     }
@@ -1063,16 +1036,9 @@ impl<'g> Engine<'g> {
     /// seed × α × ε grid — the highest-leverage consumer of workspace
     /// recycling, since an NCP scan is hundreds of back-to-back queries.
     pub fn ncp(&self, params: &NcpParams) -> Vec<NcpPoint> {
-        let params = match self.dir {
-            Some(dir) => NcpParams {
-                dir,
-                ..params.clone()
-            },
-            None => params.clone(),
-        };
         let mut ws = self.workspaces.checkout();
         let out = with_graph!(self.graph.csr(), |g| ncp_prnibble_ws(
-            &self.pool, g, &params, &mut ws
+            &self.pool, g, params, &mut ws, self.dir
         ));
         self.workspaces.restore(ws);
         out
@@ -1092,7 +1058,6 @@ mod tests {
             Algorithm::Nibble(NibbleParams {
                 t_max: 12,
                 eps: 1e-7,
-                ..Default::default()
             }),
             Algorithm::PrNibble(PrNibbleParams {
                 alpha: 0.05,
@@ -1103,7 +1068,6 @@ mod tests {
                 t: 6.0,
                 n_levels: 12,
                 eps: 1e-6,
-                ..Default::default()
             }),
             Algorithm::RandHkpr(RandHkprParams {
                 walks: 5_000,
@@ -1183,25 +1147,15 @@ mod tests {
         assert!((got.diffusion.total_mass() - 1.0).abs() < 1e-12);
     }
 
-    /// The engine-level direction override rewrites every algorithm's
-    /// knob (the rand-HK-PR walks have nothing to rewrite).
+    /// An engine built with a direction pin still gets the planted
+    /// cluster right (pull-pinned traversals are direction-invariant).
     #[test]
-    fn direction_override_applies_to_all_algorithms() {
-        let pin = DirectionParams::pull_only();
-        for algo in algorithms() {
-            let pinned = algo.with_direction(pin);
-            match pinned {
-                Algorithm::Nibble(p) => assert_eq!(p.dir, pin),
-                Algorithm::PrNibble(p) => assert_eq!(p.dir, pin),
-                Algorithm::Hkpr(p) => assert_eq!(p.dir, pin),
-                Algorithm::RandHkpr(_) => {}
-                Algorithm::Evolving(p) => assert_eq!(p.dir, pin),
-            }
-        }
-        // And an engine built with the override still gets the planted
-        // cluster right (pull-pinned traversals are direction-invariant).
+    fn direction_pin_applies_to_engine_queries() {
         let g = gen::two_cliques_bridge(8);
-        let engine = Engine::builder(&g).threads(2).direction(pin).build();
+        let engine = Engine::builder(&g)
+            .threads(2)
+            .direction(Some(Direction::Pull))
+            .build();
         let res = engine.run(&Query::new(
             Seed::single(1),
             Algorithm::PrNibble(PrNibbleParams::default()),
@@ -1328,7 +1282,6 @@ mod tests {
                 t: 5.0,
                 n_levels: 10,
                 eps: 1e-6,
-                ..Default::default()
             }),
         );
         let a = engine.run(&q);

@@ -17,7 +17,8 @@
 //! `O(vol(S))`: one `edgeMap` counts `|N(v) ∩ S|` (an exact integer, so
 //! the sequential and parallel versions agree bit-for-bit and follow the
 //! same random trajectory), then a parallel filter applies the threshold.
-//! The counting pass is direction-optimized ([`EvolvingParams::dir`]):
+//! The counting pass is direction-optimized (pull once `|S| + vol(S)`
+//! exceeds `m`):
 //! large sets count by *pulling* against the set bitset
 //! ([`lgc_ligra::edge_map_dense_count`], plain single-writer writes, no
 //! per-edge atomics) instead of pushing — and because the counts are
@@ -29,7 +30,7 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use lgc_graph::CsrBackend;
 use lgc_ligra::{
-    edge_map, edge_map_dense_count, Checkpoint, Direction, DirectionParams, Trip, VertexSubset,
+    choose_direction, edge_map, edge_map_dense_count, Checkpoint, Direction, Trip, VertexSubset,
 };
 use lgc_parallel::{filter_map_index, Pool};
 use lgc_sparse::{ConcurrentSparseVec, SparseVec};
@@ -46,21 +47,6 @@ pub struct EvolvingParams {
     pub target_conductance: f64,
     /// RNG seed for the threshold draws.
     pub rng_seed: u64,
-    /// Direction-optimization knob for the per-step `|N(v) ∩ S|` count:
-    /// small sets push (one `edgeMap` over `S`'s out-edges, atomic
-    /// integer adds), sets whose `|S| + vol(S)` crosses the dense
-    /// threshold *pull* with [`lgc_ligra::edge_map_dense_count`] — every
-    /// vertex counts its `S`-neighbors against the set bitset with plain
-    /// single-writer writes. The counts are exact integers either way,
-    /// so the random trajectory is **bit-identical across directions and
-    /// thread counts** (enforced by `pull_direction_keeps_the_trajectory`
-    /// below); the knob only moves wall-clock.
-    ///
-    /// Defaults to `dense_denom = 1` (conservative, like Nibble /
-    /// PR-Nibble): the counting gather scans `n + 2m` with no early
-    /// exit, so pulling pays off only once the set's volume is of the
-    /// order of the graph.
-    pub dir: DirectionParams,
 }
 
 impl Default for EvolvingParams {
@@ -69,13 +55,22 @@ impl Default for EvolvingParams {
             max_steps: 50,
             target_conductance: 0.0,
             rng_seed: 1,
-            dir: DirectionParams {
-                dense_denom: 1,
-                ..Default::default()
-            },
         }
     }
 }
+
+/// Dense threshold of the per-step `|N(v) ∩ S|` count: small sets push
+/// (one `edgeMap` over `S`'s out-edges, atomic integer adds), sets whose
+/// `|S| + vol(S)` exceeds `m / DENSE_DENOM` *pull* with
+/// [`lgc_ligra::edge_map_dense_count`] — every vertex counts its
+/// `S`-neighbors against the set bitset with plain single-writer writes.
+/// The counts are exact integers either way, so the random trajectory is
+/// **bit-identical across directions and thread counts** (enforced by
+/// `pull_direction_keeps_the_trajectory` below); the threshold only
+/// moves wall-clock. `m/1` is conservative, like Nibble / PR-Nibble: the
+/// counting gather scans `n + 2m` with no early exit, so pulling pays off
+/// only once the set's volume is of the order of the graph.
+const DENSE_DENOM: usize = 1;
 
 /// Result of an evolving-set run.
 #[derive(Clone, Debug)]
@@ -186,6 +181,7 @@ pub fn evolving_set_par<B: CsrBackend>(
         seed,
         params,
         &mut Workspace::new(),
+        None,
         &Checkpoint::unlimited(),
     ) {
         Ok(res) => res,
@@ -203,12 +199,16 @@ pub fn evolving_set_par<B: CsrBackend>(
 /// cumulative set volume); on a trip the walk stops at that boundary and
 /// the best-so-far result is returned as the `Err` payload, with the
 /// workspace buffers already recycled.
+///
+/// `dir` pins the traversal of every iteration; `None` applies the
+/// `DENSE_DENOM` rule.
 pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
     pool: &Pool,
     g: &B,
     seed: &Seed,
     params: &EvolvingParams,
     ws: &mut Workspace,
+    dir: Option<Direction>,
     cp: &Checkpoint,
 ) -> Result<EvolvingResult, (Trip, EvolvingResult)> {
     let n = g.num_vertices();
@@ -243,7 +243,7 @@ pub(crate) fn evolving_set_par_ws<B: CsrBackend>(
             // integers either way.
             {
                 let inside_ref = &inside;
-                match params.dir.choose(g, current.len(), vol) {
+                match choose_direction(dir, g, current.len(), vol, DENSE_DENOM) {
                     Direction::Push => {
                         edge_map(pool, g, current.subset(), |_, dst| inside_ref.add(dst, 1.0));
                     }
@@ -370,15 +370,19 @@ mod tests {
                     ..Default::default()
                 };
                 let want = evolving_set_seq(g, &Seed::single(0), &base);
-                for dir in [
-                    DirectionParams::push_only(),
-                    DirectionParams::pull_only(),
-                    base.dir,
-                ] {
-                    let params = EvolvingParams { dir, ..base };
+                for dir in [Some(Direction::Push), Some(Direction::Pull), None] {
                     for threads in [1, 2, 4] {
                         let pool = Pool::new(threads);
-                        let got = evolving_set_par(&pool, g, &Seed::single(0), &params);
+                        let got = evolving_set_par_ws(
+                            &pool,
+                            g,
+                            &Seed::single(0),
+                            &base,
+                            &mut Workspace::new(),
+                            dir,
+                            &Checkpoint::unlimited(),
+                        )
+                        .unwrap_or_else(|_| unreachable!("an unlimited checkpoint never trips"));
                         assert_eq!(got.sizes, want.sizes, "{dir:?} t={threads}");
                         assert_eq!(got.best_set, want.best_set);
                         assert_eq!(got.best_conductance, want.best_conductance);
@@ -398,7 +402,6 @@ mod tests {
                 max_steps: 1000,
                 target_conductance: 0.5,
                 rng_seed,
-                ..Default::default()
             };
             let res = evolving_set_seq(&g, &Seed::single(0), &params);
             res.steps < 1000 && res.best_conductance <= 0.5
@@ -439,6 +442,7 @@ mod tests {
                 &Seed::single(2),
                 &params,
                 &mut ws,
+                None,
                 &Checkpoint::unlimited(),
             )
             .unwrap();

@@ -18,6 +18,8 @@
 mod par;
 mod seq;
 
+use crate::require;
+
 pub use par::hkpr_par;
 pub(crate) use par::hkpr_par_ws;
 pub use seq::hkpr_seq;
@@ -31,17 +33,6 @@ pub struct HkprParams {
     pub n_levels: usize,
     /// Accuracy `ε` of the approximation (admission threshold scale).
     pub eps: f64,
-    /// Direction-optimization knob for [`hkpr_par`]'s per-level
-    /// `edgeMap`: pull once `|frontier| + vol(frontier)` crosses the
-    /// dense threshold.
-    ///
-    /// Defaults to `dense_denom = 2`: HK-PR's level frontiers are either
-    /// tiny (admission threshold not met) or graph-spanning, so the
-    /// crossover is insensitive between `m/20` and `m` on the power-law
-    /// suite (3–4× pull wins either way), but `m/2` also keeps mesh
-    /// levels — above `m/20` yet far from spanning — on the push path
-    /// where they belong.
-    pub dir: lgc_ligra::DirectionParams,
 }
 
 impl Default for HkprParams {
@@ -51,19 +42,17 @@ impl Default for HkprParams {
             t: 10.0,
             n_levels: 20,
             eps: 1e-7,
-            dir: lgc_ligra::DirectionParams {
-                dense_denom: 2,
-                ..Default::default()
-            },
         }
     }
 }
 
 impl HkprParams {
-    pub(crate) fn validate(&self) {
-        assert!(self.t > 0.0, "t must be positive");
-        assert!(self.n_levels >= 1, "need at least one level");
-        assert!(self.eps > 0.0, "eps must be positive");
+    /// Checks `t > 0`, `N ≥ 1` and `ε > 0` (NaN fails), naming the
+    /// first violated rule.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        require(self.t > 0.0, "t must be positive")?;
+        require(self.n_levels >= 1, "need at least one level")?;
+        require(self.eps > 0.0, "eps must be positive")
     }
 
     /// Admission threshold for level `j` entries at a degree-`d` vertex:

@@ -13,10 +13,19 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use lgc_graph::CsrBackend;
 use lgc_ligra::{
-    edge_map_dense, edge_map_dense_gather, edge_map_indexed, Checkpoint, Direction, VertexSubset,
+    choose_direction, edge_map_dense, edge_map_dense_gather, edge_map_indexed, Checkpoint,
+    Direction, VertexSubset,
 };
 use lgc_parallel::{map_index, Pool, UnsafeSlice};
-use lgc_sparse::MassMap;
+
+/// Dense threshold of the per-level `edgeMap`: pull once
+/// `|frontier| + vol(frontier) > m / DENSE_DENOM`. HK-PR's level
+/// frontiers are either tiny (admission threshold not met) or
+/// graph-spanning, so the crossover is insensitive between `m/20` and `m`
+/// on the power-law suite (3–4× pull wins either way), but `m/2` also
+/// keeps mesh levels — above `m/20` yet far from spanning — on the push
+/// path where they belong.
+const DENSE_DENOM: usize = 2;
 
 /// Parallel deterministic heat-kernel PageRank.
 /// Work `O(N² + N·e^t/ε)`, depth `O(N·t·log(1/ε))` w.h.p. (Theorem 4).
@@ -26,13 +35,13 @@ use lgc_sparse::MassMap;
 /// UpdateSelf (one residual lookup + division per frontier vertex). Small
 /// levels push them with [`edge_map_indexed`] (slice load + atomic add
 /// per edge); levels whose `|F| + vol(F)` crosses the dense threshold
-/// (`params.dir`) *pull* instead — every vertex gathers its frontier
+/// (`m / DENSE_DENOM`) *pull* instead — every vertex gathers its frontier
 /// in-neighbors' contributions with plain single-writer writes in
 /// ascending source order, which keeps the level-synchronous update set
 /// (and hence Theorem 4's bit-equality with the sequential algorithm)
 /// intact while dropping all per-edge atomics. The next level's frontier
 /// is filtered directly off `r_next`'s backend. Mass vectors are
-/// adaptive [`MassMap`]s.
+/// adaptive [`MassMap`](lgc_sparse::MassMap)s.
 pub fn hkpr_par<B: CsrBackend>(pool: &Pool, g: &B, seed: &Seed, params: &HkprParams) -> Diffusion {
     match hkpr_par_ws(
         pool,
@@ -40,6 +49,7 @@ pub fn hkpr_par<B: CsrBackend>(pool: &Pool, g: &B, seed: &Seed, params: &HkprPar
         seed,
         params,
         &mut Workspace::new(),
+        None,
         &Checkpoint::unlimited(),
     ) {
         Ok(d) => d,
@@ -55,15 +65,19 @@ pub fn hkpr_par<B: CsrBackend>(pool: &Pool, g: &B, seed: &Seed, params: &HkprPar
 /// `cp` is consulted once per level; on a trip the loop stops at that
 /// boundary and the banked (and `e^{−t}`-scaled) mass is returned as the
 /// `Err` payload, with every workspace buffer already recycled.
+///
+/// `dir` pins the traversal of every iteration; `None` applies the
+/// `DENSE_DENOM` rule.
 pub(crate) fn hkpr_par_ws<B: CsrBackend>(
     pool: &Pool,
     g: &B,
     seed: &Seed,
     params: &HkprParams,
     ws: &mut Workspace,
+    dir: Option<Direction>,
     cp: &Checkpoint,
 ) -> Result<Diffusion, TrippedDiffusion> {
-    params.validate();
+    params.validate().unwrap_or_else(|why| panic!("{why}"));
     let n = g.num_vertices();
     let n_levels = params.n_levels;
     // Seed-independent ψ tail weights: served from the shared per-graph
@@ -72,13 +86,12 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
     let psi = ws.psi_table(params.t, n_levels);
     let mut stats = DiffusionStats::default();
 
-    let frac = MassMap::DEFAULT_DENSE_FRACTION;
-    let mut r = ws.take_mass(pool, n, seed.vertices().len() * 2, frac);
+    let mut r = ws.take_mass(pool, n, seed.vertices().len() * 2);
     for &x in seed.vertices() {
         r.set(x, seed.mass_per_vertex());
     }
-    let mut r_next = ws.take_mass(pool, n, 16, frac);
-    let mut p = ws.take_mass(pool, n, 16, frac);
+    let mut r_next = ws.take_mass(pool, n, 16);
+    let mut p = ws.take_mass(pool, n, 16);
     // Level-0 entries are enqueued unconditionally, like the sequential
     // algorithm's initial queue.
     let mut frontier = ws.take_frontier();
@@ -99,7 +112,7 @@ pub(crate) fn hkpr_par_ws<B: CsrBackend>(
         stats.pushed_volume += vol as u64;
         stats.edges_traversed += vol as u64;
         let last_round = j + 1 == n_levels;
-        let dir = params.dir.choose(g, k, vol);
+        let dir = choose_direction(dir, g, k, vol, DENSE_DENOM);
 
         // UpdateSelf: bank the level-j residual; in the same pass
         // precompute each source's per-neighbor contribution — `r/d` for
@@ -248,7 +261,6 @@ mod tests {
             t: 2.0,
             n_levels: 5,
             eps: 1e-8,
-            ..Default::default()
         };
         let a = hkpr_seq(&g, &Seed::single(0), &params);
         let pool = Pool::new(1);
@@ -264,7 +276,6 @@ mod tests {
             t: 8.0,
             n_levels: 15,
             eps: 1e-6,
-            ..Default::default()
         };
         let a = hkpr_seq(&g, &seed, &params);
         for threads in [1, 2, 4] {
@@ -286,7 +297,6 @@ mod tests {
             t: 10.0,
             n_levels: 8,
             eps: 1e-9,
-            ..Default::default()
         };
         let d = hkpr_par(&pool, &g, &Seed::single(0), &params);
         assert!(d.stats.iterations <= 8);
@@ -306,7 +316,6 @@ mod tests {
                 t,
                 n_levels: 1,
                 eps: 1e-9,
-                ..Default::default()
             },
         );
         let s = (-t).exp();
@@ -327,7 +336,6 @@ mod tests {
                 t: 2.0,
                 n_levels: 6,
                 eps: 1e-7,
-                ..Default::default()
             },
         );
         // Symmetry: masses around each seed mirror each other.

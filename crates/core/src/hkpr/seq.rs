@@ -15,7 +15,7 @@ use std::collections::{HashMap, VecDeque};
 /// float-addition order) to [`super::hkpr_par`] because updates flow
 /// strictly level-by-level.
 pub fn hkpr_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &HkprParams) -> Diffusion {
-    params.validate();
+    params.validate().unwrap_or_else(|why| panic!("{why}"));
     let n_levels = params.n_levels;
     let psi = super::psi_table(params.t, n_levels);
     let mut stats = DiffusionStats::default();
@@ -87,7 +87,6 @@ mod tests {
                 t: 5.0,
                 n_levels: 15,
                 eps: 1e-6,
-                ..Default::default()
             },
         );
         let mass = d.total_mass();
@@ -107,7 +106,6 @@ mod tests {
                 t: 10.0,
                 n_levels: 20,
                 eps: 1e-3,
-                ..Default::default()
             },
         );
         let tight = hkpr_seq(
@@ -117,7 +115,6 @@ mod tests {
                 t: 10.0,
                 n_levels: 20,
                 eps: 1e-7,
-                ..Default::default()
             },
         );
         assert!(tight.support_size() >= loose.support_size());
@@ -137,7 +134,6 @@ mod tests {
                 t,
                 n_levels: 1,
                 eps: 1e-9,
-                ..Default::default()
             },
         );
         let s = (-t).exp();
@@ -178,7 +174,6 @@ mod tests {
                     t: 3.0,
                     n_levels: 10,
                     eps,
-                    ..Default::default()
                 },
             )
             .stats

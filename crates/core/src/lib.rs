@@ -89,9 +89,9 @@ pub use seed::Seed;
 pub use service::{GraphStore, Service, ServiceBuilder};
 pub use sweep::{sweep_cut_par, sweep_cut_seq, SweepCut};
 
-// The direction-optimization knob carried by the diffusion param structs,
-// re-exported so callers can configure it without a direct lgc-ligra dep.
-pub use lgc_ligra::{Direction, DirectionMode, DirectionParams};
+// The traversal direction `EngineBuilder::direction` pins, re-exported so
+// callers can set it without a direct lgc-ligra dep.
+pub use lgc_ligra::Direction;
 
 // The cooperative-interrupt machinery budgets compile down to: tokens and
 // trip reasons appear in this crate's public API (`QueryBudget.cancel`,
@@ -128,6 +128,30 @@ pub enum Algorithm {
     Evolving(EvolvingParams),
 }
 
+impl Algorithm {
+    /// Checks the parameters a diffusion would otherwise reject with a
+    /// panic (out-of-range or NaN `α`, `ε`, `β`, `t`, and zero level or
+    /// walk counts), naming the first violated rule. Serving layers call
+    /// this on untrusted queries before running them.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        match self {
+            Algorithm::PrNibble(p) => p.validate(),
+            Algorithm::Hkpr(p) => p.validate(),
+            Algorithm::RandHkpr(p) => p.validate(),
+            Algorithm::Nibble(_) | Algorithm::Evolving(_) => Ok(()),
+        }
+    }
+}
+
+/// `Ok` when `ok`, else `Err(why)` — the shape of every `validate`.
+pub(crate) fn require(ok: bool, why: &'static str) -> Result<(), &'static str> {
+    if ok {
+        Ok(())
+    } else {
+        Err(why)
+    }
+}
+
 /// Runs the chosen diffusion from `seed` and rounds with the parallel
 /// sweep cut — the full pipeline of the paper, in one call.
 ///
@@ -142,5 +166,5 @@ pub fn find_cluster<B: CsrBackend>(
     seed: &Seed,
     algo: &Algorithm,
 ) -> ClusterResult {
-    engine::run_query(pool, g, &mut Workspace::new(), seed, algo)
+    engine::run_query(pool, g, &mut Workspace::new(), seed, algo, None)
 }

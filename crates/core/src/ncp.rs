@@ -13,6 +13,7 @@ use crate::prnibble::{prnibble_par_ws, PrNibbleParams, PushRule};
 use crate::seed::Seed;
 use crate::sweep::sweep_cut_par_ws;
 use lgc_graph::CsrBackend;
+use lgc_ligra::Direction;
 use lgc_parallel::Pool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,11 +29,6 @@ pub struct NcpParams {
     pub epsilons: Vec<f64>,
     /// RNG seed for choosing the diffusion seeds.
     pub rng_seed: u64,
-    /// Direction-optimization knob forwarded to every PR-Nibble run —
-    /// NCP scans over loose `ε` grid points are exactly the large-support
-    /// workload where the dense pull traversal pays off. Defaults to
-    /// PR-Nibble's measured threshold.
-    pub dir: lgc_ligra::DirectionParams,
     /// Budget over the *whole* grid scan (deadline, cumulative work
     /// caps, cancellation). Checked between grid points and cooperatively
     /// inside each run; on a trip the profile built so far is returned —
@@ -48,7 +44,6 @@ impl Default for NcpParams {
             alphas: vec![0.1, 0.01],
             epsilons: vec![1e-4, 1e-5, 1e-6],
             rng_seed: 7,
-            dir: crate::PrNibbleParams::default().dir,
             budget: QueryBudget::unlimited(),
         }
     }
@@ -71,19 +66,21 @@ pub struct NcpPoint {
 /// parallel algorithms internally (the paper's setting: one analyst
 /// query at a time, each as fast as possible).
 pub fn ncp_prnibble<B: CsrBackend>(pool: &Pool, g: &B, params: &NcpParams) -> Vec<NcpPoint> {
-    ncp_prnibble_ws(pool, g, params, &mut Workspace::new())
+    ncp_prnibble_ws(pool, g, params, &mut Workspace::new(), None)
 }
 
 /// [`ncp_prnibble`] over a recyclable [`Workspace`]: one workspace
 /// serves the whole `seeds × α × ε` grid — hundreds of back-to-back
 /// diffusion + sweep queries, the highest-leverage consumer of buffer
 /// recycling (each grid point would otherwise rebuild its mass arenas,
-/// frontier bitsets, and sweep rank table from scratch).
+/// frontier bitsets, and sweep rank table from scratch). `dir` pins the
+/// traversal of every PR-Nibble run (`None` = PR-Nibble's own rule).
 pub(crate) fn ncp_prnibble_ws<B: CsrBackend>(
     pool: &Pool,
     g: &B,
     params: &NcpParams,
     ws: &mut Workspace,
+    dir: Option<Direction>,
 ) -> Vec<NcpPoint> {
     let n = g.num_vertices();
     assert!(n > 0, "empty graph has no profile");
@@ -124,11 +121,9 @@ pub(crate) fn ncp_prnibble_ws<B: CsrBackend>(
                     eps,
                     rule: PushRule::Optimized,
                     beta: 1.0,
-                    dir: params.dir,
-                    ..Default::default()
                 };
                 let sub = cp.after_work(total_pushes, total_edges);
-                let Ok(d) = prnibble_par_ws(pool, g, &Seed::single(seed), &p, ws, &sub) else {
+                let Ok(d) = prnibble_par_ws(pool, g, &Seed::single(seed), &p, ws, dir, &sub) else {
                     break 'grid;
                 };
                 total_pushes += d.stats.pushes;

@@ -18,7 +18,7 @@ use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use lgc_graph::CsrBackend;
 use lgc_ligra::{
-    edge_map_dense, edge_map_indexed, Checkpoint, Direction, DirectionParams, Frontier,
+    choose_direction, edge_map_dense, edge_map_indexed, Checkpoint, Direction, Frontier,
     VertexSubset,
 };
 use lgc_parallel::{fill_with_index, Pool, UnsafeSlice};
@@ -32,16 +32,6 @@ pub struct NibbleParams {
     /// Truncation threshold `ε` (a vertex stays active while
     /// `p[v] ≥ ε·d(v)`). Smaller ε explores more of the graph.
     pub eps: f64,
-    /// Direction-optimization knob for [`nibble_par`]'s per-iteration
-    /// `edgeMap`: pull once `|frontier| + vol(frontier)` crosses the
-    /// dense threshold.
-    ///
-    /// Defaults to `dense_denom = 1` (pull only when the frontier edge
-    /// space rivals `m`): the lazy-walk gather has no early exit, so the
-    /// BFS-tuned `m/20` switches too eagerly — measured on the suite,
-    /// `m/1` keeps the ~2× pull wins on the social-network stand-ins
-    /// while capping the mesh/randLocal mispredict at noise level.
-    pub dir: DirectionParams,
 }
 
 impl Default for NibbleParams {
@@ -50,13 +40,17 @@ impl Default for NibbleParams {
         NibbleParams {
             t_max: 20,
             eps: 1e-8,
-            dir: DirectionParams {
-                dense_denom: 1,
-                ..Default::default()
-            },
         }
     }
 }
+
+/// Dense threshold of the per-iteration `edgeMap`: pull once
+/// `|frontier| + vol(frontier) > m / DENSE_DENOM`. The lazy-walk gather
+/// has no early exit, so Ligra's BFS-tuned `m/20` switches too eagerly —
+/// measured on the suite, `m/1` keeps the ~2× pull wins on the
+/// social-network stand-ins while capping the mesh/randLocal mispredict
+/// at noise level.
+const DENSE_DENOM: usize = 1;
 
 /// Sequential Nibble.
 pub fn nibble_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &NibbleParams) -> Diffusion {
@@ -138,6 +132,7 @@ pub fn nibble_par<B: CsrBackend>(
         seed,
         params,
         &mut Workspace::new(),
+        None,
         &Checkpoint::unlimited(),
     ) {
         Ok(d) => d,
@@ -153,30 +148,29 @@ pub fn nibble_par<B: CsrBackend>(
 /// `cp` is consulted once per lazy-walk iteration; on a trip the loop
 /// stops at that boundary and the mass settled so far is returned as the
 /// `Err` payload, with every workspace buffer already recycled.
+///
+/// `dir` pins the traversal of every iteration; `None` applies the
+/// `DENSE_DENOM` rule.
 pub(crate) fn nibble_par_ws<B: CsrBackend>(
     pool: &Pool,
     g: &B,
     seed: &Seed,
     params: &NibbleParams,
     ws: &mut Workspace,
+    dir: Option<Direction>,
     cp: &Checkpoint,
 ) -> Result<Diffusion, TrippedDiffusion> {
     let eps = params.eps;
     let n = g.num_vertices();
     let mut stats = DiffusionStats::default();
 
-    let mut p = ws.take_mass(
-        pool,
-        n,
-        seed.vertices().len(),
-        MassMap::DEFAULT_DENSE_FRACTION,
-    );
+    let mut p = ws.take_mass(pool, n, seed.vertices().len());
     for &x in seed.vertices() {
         p.set(x, seed.mass_per_vertex());
     }
     let mut frontier = ws.take_frontier();
     frontier.advance(pool, VertexSubset::from_sorted(active_seed(g, seed, eps)));
-    let mut p_new = ws.take_mass(pool, n, 16, MassMap::DEFAULT_DENSE_FRACTION);
+    let mut p_new = ws.take_mass(pool, n, 16);
     let mut share_dense: Vec<f64> = ws.take_dense();
 
     let mut tripped = None;
@@ -203,7 +197,7 @@ pub(crate) fn nibble_par_ws<B: CsrBackend>(
             vol,
             &p,
             &mut p_new,
-            &params.dir,
+            dir,
             &mut share_dense,
         );
 
@@ -270,7 +264,7 @@ pub fn nibble_with_target_par<B: CsrBackend>(
             vol,
             &p,
             &mut p_new,
-            &params.dir,
+            None,
             &mut share_dense,
         );
 
@@ -316,7 +310,7 @@ fn lazy_walk_step<B: CsrBackend>(
     vol: usize,
     p: &MassMap,
     p_new: &mut MassMap,
-    dir: &DirectionParams,
+    dir: Option<Direction>,
     share_dense: &mut Vec<f64>,
 ) {
     let n = g.num_vertices();
@@ -332,7 +326,7 @@ fn lazy_walk_step<B: CsrBackend>(
             pv / (2.0 * d as f64)
         }
     };
-    match dir.choose(g, k, vol) {
+    match choose_direction(dir, g, k, vol, DENSE_DENOM) {
         Direction::Push => {
             let mut share = vec![0.0f64; k];
             {
@@ -428,7 +422,6 @@ mod tests {
             &NibbleParams {
                 t_max: 3,
                 eps: 1e-12,
-                ..Default::default()
             },
         );
         assert!(
@@ -447,7 +440,6 @@ mod tests {
             &NibbleParams {
                 t_max: 1,
                 eps: 1e-9,
-                ..Default::default()
             },
         );
         assert_eq!(d.mass_of(0), 0.5);
@@ -463,15 +455,7 @@ mod tests {
         // *before* `p = p'`, returning the previous vector p₀.
         let g = gen::clique(10); // degree 9
         let eps = 0.06; // seed: 1 ≥ 0.54 ✓; after: 0.5 < 0.54, others 1/18 < 0.54
-        let d = nibble_seq(
-            &g,
-            &Seed::single(0),
-            &NibbleParams {
-                t_max: 20,
-                eps,
-                ..Default::default()
-            },
-        );
+        let d = nibble_seq(&g, &Seed::single(0), &NibbleParams { t_max: 20, eps });
         assert_eq!(d.stats.iterations, 1);
         assert_eq!(
             d.p,
@@ -483,11 +467,7 @@ mod tests {
             &pool,
             &g,
             &Seed::single(0),
-            &NibbleParams {
-                t_max: 20,
-                eps,
-                ..Default::default()
-            },
+            &NibbleParams { t_max: 20, eps },
         );
         assert_eq!(dp.p, vec![(0, 1.0)]);
     }
@@ -495,11 +475,7 @@ mod tests {
     #[test]
     fn seed_below_threshold_returns_initial_vector() {
         let g = gen::star(100); // center degree 99
-        let params = NibbleParams {
-            t_max: 5,
-            eps: 0.5,
-            ..Default::default()
-        }; // 1 < 0.5·99
+        let params = NibbleParams { t_max: 5, eps: 0.5 }; // 1 < 0.5·99
         let d = nibble_seq(&g, &Seed::single(0), &params);
         assert_eq!(d.p, vec![(0, 1.0)]);
         assert_eq!(d.stats.iterations, 0);
@@ -514,7 +490,6 @@ mod tests {
         let params = NibbleParams {
             t_max: 10,
             eps: 1e-6,
-            ..Default::default()
         };
         let pool = Pool::new(1);
         let a = nibble_seq(&g, &Seed::single(7), &params);
@@ -529,7 +504,6 @@ mod tests {
         let params = NibbleParams {
             t_max: 12,
             eps: 1e-7,
-            ..Default::default()
         };
         let seed = Seed::single(lgc_graph::largest_component(&g)[0]);
         let a = nibble_seq(&g, &seed, &params);
@@ -552,7 +526,6 @@ mod tests {
             &NibbleParams {
                 t_max: 1,
                 eps: 1e-9,
-                ..Default::default()
             },
         );
         assert_eq!(d.mass_of(0), 0.25);
@@ -568,7 +541,6 @@ mod tests {
         let params = NibbleParams {
             t_max: 40,
             eps: 1e-9,
-            ..Default::default()
         };
         let phi_target = 0.01; // the clique cut has phi = 1/133
         let sweep = nibble_with_target_par(&pool, &g, &Seed::single(0), &params, phi_target)
@@ -587,7 +559,6 @@ mod tests {
         let params = NibbleParams {
             t_max: 10,
             eps: 1e-9,
-            ..Default::default()
         };
         assert!(nibble_with_target_par(&pool, &g, &Seed::single(0), &params, 1e-6).is_none());
     }
@@ -603,7 +574,6 @@ mod tests {
             &NibbleParams {
                 t_max: 5,
                 eps: 1e-4,
-                ..Default::default()
             },
         );
         assert!(d.support_size() < 2000, "support {}", d.support_size());

@@ -21,6 +21,8 @@
 mod par;
 mod seq;
 
+use crate::require;
+
 pub use par::prnibble_par;
 pub(crate) use par::prnibble_par_ws;
 pub use seq::{prnibble_seq, prnibble_seq_priority_queue};
@@ -68,57 +70,31 @@ pub struct PrNibbleParams {
     /// (§3.3's β optimization). `1.0` = the standard algorithm; only
     /// affects [`prnibble_par`].
     pub beta: f64,
-    /// Support fraction of `n` at which the parallel algorithm's mass
-    /// vectors upgrade from hash tables to direct-indexed dense arrays
-    /// (`lgc_sparse::MassMap`'s heuristic). `0.0` forces dense, values
-    /// `> 1.0` (e.g. `f64::INFINITY`) force sparse; only affects
-    /// [`prnibble_par`].
-    pub dense_frac: f64,
-    /// Direction-optimization knob for the parallel algorithm's
-    /// `edgeMap`s: when `|frontier| + vol(frontier)` crosses the dense
-    /// threshold the iteration switches from sparse atomic pushes to the
-    /// dense pull traversal (plain writes). Only affects
-    /// [`prnibble_par`].
-    ///
-    /// The default tunes `dense_denom` to 1 (pull only once the frontier
-    /// edge space rivals `m`): PR-Nibble's gather has no early exit, so
-    /// Ligra's BFS-tuned `m/20` fires too eagerly for it — measured on
-    /// the suite, `m/1` is as good or better on every graph (up to 4–5×
-    /// over push-only on the social-network stand-ins, no regression
-    /// beyond noise elsewhere).
-    pub dir: lgc_ligra::DirectionParams,
 }
 
 impl Default for PrNibbleParams {
     /// The paper's Table 1/3 setting: `α = 0.01`, `ε = 10⁻⁷`,
-    /// optimized rule, full frontier; adaptive mass storage.
+    /// optimized rule, full frontier.
     fn default() -> Self {
         PrNibbleParams {
             alpha: 0.01,
             eps: 1e-7,
             rule: PushRule::Optimized,
             beta: 1.0,
-            dense_frac: lgc_sparse::MassMap::DEFAULT_DENSE_FRACTION,
-            dir: lgc_ligra::DirectionParams {
-                dense_denom: 1,
-                ..Default::default()
-            },
         }
     }
 }
 
 impl PrNibbleParams {
-    pub(crate) fn validate(&self) {
-        assert!(
+    /// Checks `α ∈ (0, 1)`, `ε > 0` and `β ∈ (0, 1]` (NaN fails every
+    /// one), naming the first violated rule.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        require(
             self.alpha > 0.0 && self.alpha < 1.0,
-            "alpha must be in (0,1)"
-        );
-        assert!(self.eps > 0.0, "eps must be positive");
-        assert!(self.beta > 0.0 && self.beta <= 1.0, "beta must be in (0,1]");
-        assert!(
-            self.dense_frac >= 0.0 && !self.dense_frac.is_nan(),
-            "dense_frac must be ≥ 0"
-        );
+            "alpha must be in (0,1)",
+        )?;
+        require(self.eps > 0.0, "eps must be positive")?;
+        require(self.beta > 0.0 && self.beta <= 1.0, "beta must be in (0,1]")
     }
 }
 
@@ -152,10 +128,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "alpha")]
     fn invalid_alpha_rejected() {
-        PrNibbleParams {
+        let params = PrNibbleParams {
             alpha: 1.5,
             ..Default::default()
-        }
-        .validate();
+        };
+        assert_eq!(params.validate(), Err("alpha must be in (0,1)"));
+        // In-process callers keep the assert.
+        let g = lgc_graph::gen::cycle(4);
+        prnibble_par(
+            &lgc_parallel::Pool::new(1),
+            &g,
+            &crate::Seed::single(0),
+            &params,
+        );
     }
 }

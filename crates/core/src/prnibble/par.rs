@@ -17,9 +17,20 @@ use crate::engine::Workspace;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use lgc_graph::CsrBackend;
-use lgc_ligra::{edge_map_dense_gather, edge_map_indexed, Checkpoint, Direction, VertexSubset};
+use lgc_ligra::{
+    choose_direction, edge_map_dense_gather, edge_map_indexed, Checkpoint, Direction, VertexSubset,
+};
 use lgc_parallel::{filter_map_index, Bitset, Pool, UnsafeSlice};
 use lgc_sparse::MassMap;
+
+/// Dense threshold of the per-iteration `edgeMap`s: pull once
+/// `|frontier| + vol(frontier) > m / DENSE_DENOM`. PR-Nibble's gather
+/// has no early exit, so Ligra's BFS-tuned `m/20` fires too eagerly for
+/// it — measured on the suite, `m/1` is as good or better on every graph
+/// (up to 4–5× over push-only on the social-network stand-ins, no
+/// regression beyond noise elsewhere). NCP scans run through this loop
+/// and inherit it.
+const DENSE_DENOM: usize = 1;
 
 /// Parallel PR-Nibble. Work `O(1/(α·ε))` w.h.p. (Theorem 3), regardless
 /// of the iteration count; depth is one `edgeMap` + filter per iteration.
@@ -27,7 +38,8 @@ use lgc_sparse::MassMap;
 /// With `params.beta < 1`, only the top `β`-fraction of eligible vertices
 /// (by `r[v]/d(v)`) is pushed per iteration (§3.3's variant).
 ///
-/// Iterations are *direction-optimized* (`params.dir`):
+/// Iterations are *direction-optimized* (pull once `|F| + vol(F)`
+/// exceeds `m / DENSE_DENOM`):
 ///
 /// * **Push** (small frontiers): the push value `cₙ·r[v]/d(v)` is
 ///   precomputed into a frontier-indexed `contrib` slice and
@@ -46,7 +58,7 @@ use lgc_sparse::MassMap;
 ///
 /// Mass vectors live in [`MassMap`]s, which upgrade themselves to
 /// direct-indexed dense arrays once the per-iteration key bound crosses
-/// `params.dense_frac · n` — the regime pull iterations live in.
+/// `n/8` — the regime pull iterations live in.
 pub fn prnibble_par<B: CsrBackend>(
     pool: &Pool,
     g: &B,
@@ -59,6 +71,7 @@ pub fn prnibble_par<B: CsrBackend>(
         seed,
         params,
         &mut Workspace::new(),
+        None,
         &Checkpoint::unlimited(),
     ) {
         Ok(d) => d,
@@ -77,26 +90,30 @@ pub fn prnibble_par<B: CsrBackend>(
 /// with every workspace buffer already recycled (the receiver bitset is
 /// all-zero at iteration boundaries, so the early exit preserves the
 /// pool's clear-bitset invariant).
+///
+/// `dir` pins the traversal of every iteration; `None` applies the
+/// `DENSE_DENOM` rule.
 pub(crate) fn prnibble_par_ws<B: CsrBackend>(
     pool: &Pool,
     g: &B,
     seed: &Seed,
     params: &PrNibbleParams,
     ws: &mut Workspace,
+    dir: Option<Direction>,
     cp: &Checkpoint,
 ) -> Result<Diffusion, TrippedDiffusion> {
-    params.validate();
+    params.validate().unwrap_or_else(|why| panic!("{why}"));
     let (c_bank, cr, cn) = params.rule.coefficients(params.alpha);
     let eps = params.eps;
     let n = g.num_vertices();
     let mut stats = DiffusionStats::default();
 
-    let mut r = ws.take_mass(pool, n, seed.vertices().len() * 2, params.dense_frac);
+    let mut r = ws.take_mass(pool, n, seed.vertices().len() * 2);
     for &x in seed.vertices() {
         r.set(x, seed.mass_per_vertex());
     }
-    let mut p = ws.take_mass(pool, n, 16, params.dense_frac);
-    let mut r_delta = ws.take_mass(pool, n, 16, params.dense_frac);
+    let mut p = ws.take_mass(pool, n, 16);
+    let mut r_delta = ws.take_mass(pool, n, 16);
     let mut frontier = ws.take_frontier();
     let mut contrib_dense: Vec<f64> = ws.take_dense();
     // Taken warm from the workspace, or allocated on the first pull
@@ -124,7 +141,7 @@ pub(crate) fn prnibble_par_ws<B: CsrBackend>(
         stats.pushes += k as u64;
         stats.pushed_volume += vol as u64;
         stats.edges_traversed += vol as u64;
-        let dir = params.dir.choose(g, k, vol);
+        let dir = choose_direction(dir, g, k, vol, DENSE_DENOM);
 
         // Phase 1 (read r / write p): bank the α-fraction, remember the
         // post-push self-residuals, and precompute each frontier vertex's
@@ -358,7 +375,6 @@ mod tests {
                     eps: 1e-6,
                     rule,
                     beta: 1.0,
-                    ..Default::default()
                 };
                 let d = prnibble_par(&pool, &g, &seed, &params);
                 let total = d.total_mass() + d.stats.residual_mass;

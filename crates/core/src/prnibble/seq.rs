@@ -17,7 +17,7 @@ use std::collections::{BinaryHeap, VecDeque};
 /// zeroes the residual). Work: `O(1/(α·ε))` (Lemma 2 of ACL, extended to
 /// the optimized rule in §3.3).
 pub fn prnibble_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &PrNibbleParams) -> Diffusion {
-    params.validate();
+    params.validate().unwrap_or_else(|why| panic!("{why}"));
     let mut state = PushState::new(g, seed, params);
     let mut queue: VecDeque<u32> = state.initial_active().into();
     while let Some(v) = queue.pop_front() {
@@ -39,7 +39,7 @@ pub fn prnibble_seq_priority_queue<B: CsrBackend>(
     seed: &Seed,
     params: &PrNibbleParams,
 ) -> Diffusion {
-    params.validate();
+    params.validate().unwrap_or_else(|why| panic!("{why}"));
     let mut state = PushState::new(g, seed, params);
     let mut heap: BinaryHeap<HeapEntry> = state
         .initial_active()
@@ -203,7 +203,6 @@ mod tests {
                 eps: 1e-9,
                 rule,
                 beta: 1.0,
-                ..Default::default()
             };
             let mut state = PushState::new(&g, &Seed::single(0), &params);
             let mut queue: VecDeque<u32> = state.initial_active().into();
@@ -230,7 +229,6 @@ mod tests {
                 eps: 1e-5,
                 rule,
                 beta: 1.0,
-                ..Default::default()
             };
             let d = prnibble_seq(&g, &Seed::single(5), &params);
             let bound = 1.0 / (params.alpha * params.eps);
@@ -250,7 +248,6 @@ mod tests {
             eps: 1e-6,
             rule,
             beta: 1.0,
-            ..Default::default()
         };
         let orig = prnibble_seq(&g, &Seed::single(0), &mk(PushRule::Original));
         let opt = prnibble_seq(&g, &Seed::single(0), &mk(PushRule::Optimized));

@@ -17,6 +17,7 @@
 
 use crate::budget::TrippedDiffusion;
 use crate::engine::Workspace;
+use crate::require;
 use crate::result::{Diffusion, DiffusionStats};
 use crate::seed::Seed;
 use lgc_graph::CsrBackend;
@@ -54,9 +55,11 @@ impl Default for RandHkprParams {
 }
 
 impl RandHkprParams {
-    fn validate(&self) {
-        assert!(self.t > 0.0, "t must be positive");
-        assert!(self.walks >= 1, "need at least one walk");
+    /// Checks `t > 0` (NaN fails) and at least one walk, naming the
+    /// first violated rule.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        require(self.t > 0.0, "t must be positive")?;
+        require(self.walks >= 1, "need at least one walk")
     }
 
     /// CDF of the truncated Poisson(`t`) walk-length distribution:
@@ -143,7 +146,7 @@ fn run_walk<B: CsrBackend>(
 
 /// Sequential rand-HK-PR: one walk at a time into a sparse counter.
 pub fn rand_hkpr_seq<B: CsrBackend>(g: &B, seed: &Seed, params: &RandHkprParams) -> Diffusion {
-    params.validate();
+    params.validate().unwrap_or_else(|why| panic!("{why}"));
     let cdf = params.length_cdf();
     let mut stats = DiffusionStats::default();
     let mut p = SparseVec::new_f64();
@@ -210,7 +213,7 @@ pub(crate) fn rand_hkpr_par_ws<B: CsrBackend>(
     ws: &mut Workspace,
     cp: &Checkpoint,
 ) -> Result<Diffusion, TrippedDiffusion> {
-    params.validate();
+    params.validate().unwrap_or_else(|why| panic!("{why}"));
     let cdf = params.length_cdf();
     let n = params.walks;
     let mut stats = DiffusionStats::default();
@@ -386,7 +389,6 @@ mod tests {
                 t,
                 n_levels: 30,
                 eps: 1e-10,
-                ..Default::default()
             },
         );
         let rnd = rand_hkpr_seq(

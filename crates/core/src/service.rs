@@ -45,7 +45,6 @@ use crate::budget::{EngineLimits, LifecycleSnapshot};
 use crate::cache::{GraphCache, GraphSummary};
 use crate::engine::{spawn_pool, with_graph, Engine, EngineGraph};
 use lgc_graph::{CsrBackend, CsrCompressed, CsrRef, Graph};
-use lgc_ligra::DirectionParams;
 use lgc_parallel::Pool;
 use std::sync::Arc;
 
@@ -124,7 +123,6 @@ impl GraphStore {
 /// scope) and query away from every thread you have.
 pub struct Service {
     pool: Arc<Pool>,
-    dir: Option<DirectionParams>,
     graphs: Vec<(String, Engine<'static>)>,
 }
 
@@ -134,7 +132,6 @@ impl Service {
         ServiceBuilder {
             pool: None,
             threads: None,
-            dir: None,
             graphs: Vec::new(),
         }
     }
@@ -233,7 +230,7 @@ impl Service {
         let engine = Engine::assemble(
             EngineGraph::Shared(store),
             Arc::clone(&self.pool),
-            self.dir,
+            None,
             limits,
         );
         match self.graphs.iter_mut().find(|(n, _)| *n == name) {
@@ -256,7 +253,6 @@ impl Service {
 pub struct ServiceBuilder {
     pool: Option<Arc<Pool>>,
     threads: Option<usize>,
-    dir: Option<DirectionParams>,
     graphs: Vec<(String, GraphStore, EngineLimits)>,
 }
 
@@ -272,14 +268,6 @@ impl ServiceBuilder {
     /// (ignored if [`Self::pool`] was given). Default: machine-sized.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Service-wide direction-optimization override, applied to every
-    /// query on every graph (same semantics as
-    /// [`EngineBuilder::direction`](crate::EngineBuilder::direction)).
-    pub fn direction(mut self, dir: DirectionParams) -> Self {
-        self.dir = Some(dir);
         self
     }
 
@@ -331,7 +319,6 @@ impl ServiceBuilder {
         let pool = self.pool.unwrap_or_else(|| spawn_pool(self.threads));
         let mut svc = Service {
             pool,
-            dir: self.dir,
             graphs: Vec::new(),
         };
         for (name, store, limits) in self.graphs {
@@ -444,21 +431,5 @@ mod tests {
         let _ = Service::builder()
             .add_graph("dup", gen::cycle(4))
             .add_graph("dup", gen::cycle(5));
-    }
-
-    #[test]
-    fn direction_override_reaches_every_graph() {
-        let svc = Service::builder()
-            .pool(Pool::shared(1))
-            .direction(lgc_ligra::DirectionParams::pull_only())
-            .add_graph("g", gen::two_cliques_bridge(8))
-            .build();
-        let res = svc.engine("g").unwrap().run(&Query::new(
-            Seed::single(1),
-            Algorithm::PrNibble(PrNibbleParams::default()),
-        ));
-        let mut cluster = res.cluster;
-        cluster.sort_unstable();
-        assert_eq!(cluster, (0..8).collect::<Vec<u32>>());
     }
 }

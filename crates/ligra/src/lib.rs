@@ -36,9 +36,10 @@
 //!
 //! The crossover: once `|F| + vol(F)` is a constant fraction of `m`, the
 //! push traversal already touches most of the graph *and* pays an atomic
-//! RMW per edge, so the plain-write scan wins. [`DirectionParams`]
-//! implements Ligra's heuristic — pull when `|F| + vol(F) > m / 20`
-//! (tunable), and the diffusions consult it once per iteration. [`Frontier`]
+//! RMW per edge, so the plain-write scan wins. [`choose_direction`]
+//! implements Ligra's heuristic — pull when `|F| + vol(F) > m / k`, with
+//! `k` tuned per diffusion — and the diffusions consult it once per
+//! iteration. [`Frontier`]
 //! carries both representations (sorted id list and bitset) with `O(len)`
 //! conversions so flip-flopping between directions never pays more than
 //! the iteration it serves.
@@ -239,70 +240,22 @@ pub enum Direction {
     Pull,
 }
 
-/// How the diffusions pick a direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DirectionMode {
-    /// Ligra's heuristic: pull when `|F| + vol(F) > m / dense_denom`.
-    Auto,
-    /// Always push (the pre-direction-optimization behavior).
-    Push,
-    /// Always pull (mainly for testing and benchmarking the dense engine).
-    Pull,
-}
-
-/// The direction-optimization knob carried by the diffusion param
-/// structs: when and whether to switch `edgeMap` from sparse push to the
-/// dense pull traversal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DirectionParams {
-    /// Selection policy (default [`DirectionMode::Auto`]).
-    pub mode: DirectionMode,
-    /// Denominator of the dense threshold: with `Auto`, pull is chosen
-    /// when `|frontier| + vol(frontier) > m / dense_denom` (`m` =
-    /// undirected edge count). Ligra's default is 20.
-    pub dense_denom: usize,
-}
-
-impl Default for DirectionParams {
-    fn default() -> Self {
-        DirectionParams {
-            mode: DirectionMode::Auto,
-            dense_denom: 20,
-        }
-    }
-}
-
-impl DirectionParams {
-    /// Pins every iteration to sparse push.
-    pub fn push_only() -> Self {
-        DirectionParams {
-            mode: DirectionMode::Push,
-            ..Default::default()
-        }
-    }
-
-    /// Pins every iteration to dense pull.
-    pub fn pull_only() -> Self {
-        DirectionParams {
-            mode: DirectionMode::Pull,
-            ..Default::default()
-        }
-    }
-
-    /// Picks the direction for a frontier of `len` vertices and volume
-    /// `vol` on `g`.
-    pub fn choose<B: CsrBackend>(&self, g: &B, len: usize, vol: usize) -> Direction {
-        match self.mode {
-            DirectionMode::Push => Direction::Push,
-            DirectionMode::Pull => Direction::Pull,
-            DirectionMode::Auto => {
-                if len + vol > g.num_edges() / self.dense_denom.max(1) {
-                    Direction::Pull
-                } else {
-                    Direction::Push
-                }
-            }
-        }
+/// Picks the traversal of one iteration over a frontier of `len`
+/// vertices and volume `vol` on `g`: the `pin` when there is one,
+/// otherwise Ligra's rule — pull once `len + vol > m / dense_denom`
+/// (`m` = undirected edge count). Ligra's own BFS uses `dense_denom =
+/// 20`; each diffusion passes the denominator tuned for its gather.
+pub fn choose_direction<B: CsrBackend>(
+    pin: Option<Direction>,
+    g: &B,
+    len: usize,
+    vol: usize,
+    dense_denom: usize,
+) -> Direction {
+    match pin {
+        Some(dir) => dir,
+        None if len + vol > g.num_edges() / dense_denom.max(1) => Direction::Pull,
+        None => Direction::Push,
     }
 }
 
@@ -699,24 +652,23 @@ mod tests {
     fn direction_threshold_follows_ligra_rule() {
         let g = gen::rand_local(2000, 5, 1); // m ≈ 5000
         let m = g.num_edges();
-        let p = DirectionParams::default();
-        assert_eq!(p.choose(&g, 1, m / 20), Direction::Pull, "just above m/20");
-        assert_eq!(p.choose(&g, 0, m / 20), Direction::Push, "at m/20");
-        assert_eq!(p.choose(&g, 0, 0), Direction::Push);
+        let auto = |len, vol| choose_direction(None, &g, len, vol, 20);
+        assert_eq!(auto(1, m / 20), Direction::Pull, "just above m/20");
+        assert_eq!(auto(0, m / 20), Direction::Push, "at m/20");
+        assert_eq!(auto(0, 0), Direction::Push);
         assert_eq!(
-            DirectionParams::push_only().choose(&g, m, m),
+            choose_direction(Some(Direction::Push), &g, m, m, 20),
             Direction::Push
         );
         assert_eq!(
-            DirectionParams::pull_only().choose(&g, 0, 1),
+            choose_direction(Some(Direction::Pull), &g, 0, 1, 20),
             Direction::Pull
         );
-        // A custom denominator moves the crossover.
-        let eager = DirectionParams {
-            dense_denom: 1000,
-            ..Default::default()
-        };
-        assert_eq!(eager.choose(&g, 1, m / 100), Direction::Pull);
+        // A larger denominator moves the crossover down.
+        assert_eq!(
+            choose_direction(None, &g, 1, m / 100, 1000),
+            Direction::Pull
+        );
     }
 
     /// Per-CSR-edge integer trace for any engine driven through a closure,

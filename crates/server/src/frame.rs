@@ -29,7 +29,9 @@ pub const MAGIC: [u8; 4] = *b"LGCP";
 
 /// Protocol version this build speaks. A peer announcing a different
 /// version is rejected with [`ProtocolError::UnsupportedVersion`].
-pub const VERSION: u8 = 1;
+/// Version 2 dropped the per-algorithm traversal and mass-storage tuning
+/// fields from the `QUERY` payload.
+pub const VERSION: u8 = 2;
 
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 16;

@@ -20,9 +20,8 @@
 
 use crate::frame::ProtocolError;
 use lgc_core::{
-    Algorithm, ClusterResult, Diffusion, DiffusionStats, DirectionMode, DirectionParams,
-    EvolvingParams, HkprParams, NibbleParams, PrNibbleParams, PushRule, Query, QueryBudget,
-    QueryError, RandHkprParams, Seed, SweepCut,
+    Algorithm, ClusterResult, Diffusion, DiffusionStats, EvolvingParams, HkprParams, NibbleParams,
+    PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams, Seed, SweepCut,
 };
 use std::fmt;
 use std::time::Duration;
@@ -437,36 +436,12 @@ impl<'a> Rd<'a> {
 // Algorithm / budget / request
 // ---------------------------------------------------------------------
 
-fn enc_dir(w: &mut Wr, d: &DirectionParams) {
-    w.u8(match d.mode {
-        DirectionMode::Auto => 0,
-        DirectionMode::Push => 1,
-        DirectionMode::Pull => 2,
-    });
-    w.u64(d.dense_denom as u64);
-}
-
-fn dec_dir(r: &mut Rd<'_>) -> DecodeResult<DirectionParams> {
-    let mode = match r.u8("direction mode")? {
-        0 => DirectionMode::Auto,
-        1 => DirectionMode::Push,
-        2 => DirectionMode::Pull,
-        _ => return malformed("direction mode"),
-    };
-    let dense_denom = r.u64("dense_denom")? as usize;
-    if dense_denom == 0 {
-        return malformed("dense_denom");
-    }
-    Ok(DirectionParams { mode, dense_denom })
-}
-
 fn enc_algo(w: &mut Wr, algo: &Algorithm) {
     match algo {
         Algorithm::Nibble(p) => {
             w.u8(0);
             w.u64(p.t_max as u64);
             w.f64(p.eps);
-            enc_dir(w, &p.dir);
         }
         Algorithm::PrNibble(p) => {
             w.u8(1);
@@ -477,15 +452,12 @@ fn enc_algo(w: &mut Wr, algo: &Algorithm) {
                 PushRule::Optimized => 1,
             });
             w.f64(p.beta);
-            w.f64(p.dense_frac);
-            enc_dir(w, &p.dir);
         }
         Algorithm::Hkpr(p) => {
             w.u8(2);
             w.f64(p.t);
             w.u64(p.n_levels as u64);
             w.f64(p.eps);
-            enc_dir(w, &p.dir);
         }
         Algorithm::RandHkpr(p) => {
             w.u8(3);
@@ -499,7 +471,6 @@ fn enc_algo(w: &mut Wr, algo: &Algorithm) {
             w.u64(p.max_steps as u64);
             w.f64(p.target_conductance);
             w.u64(p.rng_seed);
-            enc_dir(w, &p.dir);
         }
     }
 }
@@ -509,7 +480,6 @@ fn dec_algo(r: &mut Rd<'_>) -> DecodeResult<Algorithm> {
         0 => Algorithm::Nibble(NibbleParams {
             t_max: r.u64("t_max")? as usize,
             eps: r.f64("eps")?,
-            dir: dec_dir(r)?,
         }),
         1 => Algorithm::PrNibble(PrNibbleParams {
             alpha: r.f64("alpha")?,
@@ -520,14 +490,11 @@ fn dec_algo(r: &mut Rd<'_>) -> DecodeResult<Algorithm> {
                 _ => return malformed("push rule"),
             },
             beta: r.f64("beta")?,
-            dense_frac: r.f64("dense_frac")?,
-            dir: dec_dir(r)?,
         }),
         2 => Algorithm::Hkpr(HkprParams {
             t: r.f64("t")?,
             n_levels: r.u64("n_levels")? as usize,
             eps: r.f64("eps")?,
-            dir: dec_dir(r)?,
         }),
         3 => Algorithm::RandHkpr(RandHkprParams {
             t: r.f64("t")?,
@@ -539,7 +506,6 @@ fn dec_algo(r: &mut Rd<'_>) -> DecodeResult<Algorithm> {
             max_steps: r.u64("max_steps")? as usize,
             target_conductance: r.f64("target_conductance")?,
             rng_seed: r.u64("rng_seed")?,
-            dir: dec_dir(r)?,
         }),
         _ => return malformed("algorithm tag"),
     })
@@ -580,7 +546,9 @@ pub fn encode_query_request(req: &QueryRequest) -> Vec<u8> {
     w.buf
 }
 
-/// Decodes a `QUERY` request body.
+/// Decodes a `QUERY` request body. Parameters a diffusion would reject
+/// (see [`Algorithm::validate`]) are a malformed payload, so a hostile
+/// value gets a typed error instead of reaching an executor's assert.
 pub fn decode_query_request(payload: &[u8]) -> DecodeResult<QueryRequest> {
     let mut r = Rd::new(payload);
     let tenant = r.str16("tenant name")?;
@@ -592,6 +560,9 @@ pub fn decode_query_request(payload: &[u8]) -> DecodeResult<QueryRequest> {
         return malformed("seed set");
     }
     let algo = dec_algo(&mut r)?;
+    if let Err(context) = algo.validate() {
+        return malformed(context);
+    }
     let budget = dec_budget(&mut r)?;
     r.finish("query request")?;
     Ok(QueryRequest {
@@ -874,6 +845,74 @@ mod tests {
         // And the normal path still works.
         req.query.seed = Seed::single(3);
         assert!(decode_query_request(&encode_query_request(&req)).is_ok());
+    }
+
+    /// Every parameter value a diffusion would assert on is refused at
+    /// decode with the violated rule as the context.
+    #[test]
+    fn invalid_params_are_malformed_not_executed() {
+        let cases = [
+            (
+                Algorithm::PrNibble(PrNibbleParams {
+                    alpha: 2.0,
+                    ..Default::default()
+                }),
+                "alpha must be in (0,1)",
+            ),
+            (
+                Algorithm::PrNibble(PrNibbleParams {
+                    eps: f64::NAN,
+                    ..Default::default()
+                }),
+                "eps must be positive",
+            ),
+            (
+                Algorithm::PrNibble(PrNibbleParams {
+                    beta: 0.0,
+                    ..Default::default()
+                }),
+                "beta must be in (0,1]",
+            ),
+            (
+                Algorithm::Hkpr(HkprParams {
+                    t: 0.0,
+                    ..Default::default()
+                }),
+                "t must be positive",
+            ),
+            (
+                Algorithm::Hkpr(HkprParams {
+                    n_levels: 0,
+                    ..Default::default()
+                }),
+                "need at least one level",
+            ),
+            (
+                Algorithm::RandHkpr(RandHkprParams {
+                    t: -1.0,
+                    ..Default::default()
+                }),
+                "t must be positive",
+            ),
+            (
+                Algorithm::RandHkpr(RandHkprParams {
+                    walks: 0,
+                    ..Default::default()
+                }),
+                "need at least one walk",
+            ),
+        ];
+        for (algo, why) in cases {
+            let req = QueryRequest {
+                tenant: "g".into(),
+                priority: Priority::Interactive,
+                query: Query::new(Seed::single(0), algo),
+            };
+            match decode_query_request(&encode_query_request(&req)) {
+                Err(ProtocolError::Malformed { context }) => assert_eq!(context, why),
+                other => panic!("expected Malformed({why}), got {other:?}"),
+            }
+        }
     }
 
     #[test]

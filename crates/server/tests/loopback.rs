@@ -42,7 +42,6 @@ fn algos() -> Vec<Algorithm> {
         Algorithm::Nibble(NibbleParams {
             t_max: 8,
             eps: 1e-6,
-            ..Default::default()
         }),
         Algorithm::PrNibble(PrNibbleParams {
             alpha: 0.05,
@@ -53,7 +52,6 @@ fn algos() -> Vec<Algorithm> {
             t: 3.0,
             n_levels: 8,
             eps: 1e-5,
-            ..Default::default()
         }),
         Algorithm::RandHkpr(RandHkprParams {
             walks: 2_000,
@@ -223,6 +221,42 @@ fn typed_errors_for_bad_requests() {
         other => panic!("expected Unsupported, got {other:?}"),
     }
     client.ping().unwrap();
+    server.shutdown();
+}
+
+/// An out-of-range parameter is refused at decode with a typed error
+/// on its own request id; the executor never sees it, and the next
+/// valid query on the same connection is answered.
+#[test]
+fn invalid_params_get_an_error_frame_and_the_connection_survives() {
+    let server = Server::bind(
+        Arc::new(one_thread_service()),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let bad = Query::new(
+        Seed::single(0),
+        Algorithm::PrNibble(PrNibbleParams {
+            alpha: 2.0,
+            ..Default::default()
+        }),
+    );
+    match client.query("cliques", Priority::Interactive, &bad) {
+        Ok(Err(WireError::Unsupported { message })) => {
+            assert!(message.contains("alpha"), "{message}")
+        }
+        other => panic!("expected Unsupported, got {other:?}"),
+    }
+    let good = Query::new(Seed::single(0), Algorithm::PrNibble(Default::default()));
+    let got = client
+        .query("cliques", Priority::Interactive, &good)
+        .expect("transport ok")
+        .expect("query ok");
+    let want = find_cluster(&Pool::new(1), &graphs()[0].1, &good.seed, &good.algo);
+    assert_eq!(got.cluster, want.cluster);
+    assert_eq!(got.conductance.to_bits(), want.conductance.to_bits());
     server.shutdown();
 }
 

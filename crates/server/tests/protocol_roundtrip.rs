@@ -5,9 +5,8 @@
 //! [`ProtocolError`]s, never a panic.
 
 use lgc_core::{
-    Algorithm, ClusterResult, Diffusion, DiffusionStats, DirectionMode, DirectionParams,
-    EvolvingParams, HkprParams, NibbleParams, PrNibbleParams, PushRule, Query, QueryBudget,
-    RandHkprParams, Seed, SweepCut,
+    Algorithm, ClusterResult, Diffusion, DiffusionStats, EvolvingParams, HkprParams, NibbleParams,
+    PrNibbleParams, PushRule, Query, QueryBudget, RandHkprParams, Seed, SweepCut,
 };
 use lgc_server::frame::{self, read_frame, write_frame, FrameKind, ProtocolError};
 use lgc_server::wire::{
@@ -33,52 +32,47 @@ fn arb_f64() -> impl Strategy<Value = f64> {
     ]
 }
 
-fn arb_dir() -> impl Strategy<Value = DirectionParams> {
-    (0u8..3, 1usize..1000).prop_map(|(m, dense_denom)| DirectionParams {
-        mode: match m {
-            0 => DirectionMode::Auto,
-            1 => DirectionMode::Push,
-            _ => DirectionMode::Pull,
-        },
-        dense_denom,
-    })
+/// A value in `(0, 1]`, hitting both ends of the range finely.
+fn arb_unit() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (1u64..1 << 53).prop_map(|k| k as f64 / (1u64 << 53) as f64),
+        Just(1.0),
+        Just(f64::MIN_POSITIVE),
+    ]
+}
+
+/// A positive value over a wide magnitude range (what `eps` and `t`
+/// must be for the decoder to accept a query).
+fn arb_positive() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (1u64..1 << 62).prop_map(|bits| f64::from_bits(bits) % 1e12),
+        Just(1e-9),
+        Just(0.5),
+        Just(f64::INFINITY),
+    ]
+    .prop_map(|x| if x > 0.0 { x } else { f64::MIN_POSITIVE })
 }
 
 fn arb_algo() -> impl Strategy<Value = Algorithm> {
     prop_oneof![
-        (1usize..100, arb_f64(), arb_dir())
-            .prop_map(|(t_max, eps, dir)| Algorithm::Nibble(NibbleParams { t_max, eps, dir })),
-        (
-            arb_f64(),
-            arb_f64(),
-            0u8..2,
-            arb_f64(),
-            arb_f64(),
-            arb_dir()
-        )
-            .prop_map(|(alpha, eps, rule, beta, dense_frac, dir)| {
-                Algorithm::PrNibble(PrNibbleParams {
-                    alpha,
-                    eps,
-                    rule: if rule == 0 {
-                        PushRule::Original
-                    } else {
-                        PushRule::Optimized
-                    },
-                    beta,
-                    dense_frac,
-                    dir,
-                })
-            }),
-        (arb_f64(), 1usize..64, arb_f64(), arb_dir()).prop_map(|(t, n_levels, eps, dir)| {
-            Algorithm::Hkpr(HkprParams {
-                t,
-                n_levels,
+        (1usize..100, arb_f64())
+            .prop_map(|(t_max, eps)| Algorithm::Nibble(NibbleParams { t_max, eps })),
+        (arb_unit(), arb_positive(), 0u8..2, arb_unit()).prop_map(|(alpha, eps, rule, beta)| {
+            Algorithm::PrNibble(PrNibbleParams {
+                // (0, 1]: 1.0 is out of range for alpha, so halve it.
+                alpha: alpha / 2.0,
                 eps,
-                dir,
+                rule: if rule == 0 {
+                    PushRule::Original
+                } else {
+                    PushRule::Optimized
+                },
+                beta,
             })
         }),
-        (arb_f64(), 1usize..100, 1usize..100_000, 0u64..u64::MAX).prop_map(
+        (arb_positive(), 1usize..64, arb_positive())
+            .prop_map(|(t, n_levels, eps)| Algorithm::Hkpr(HkprParams { t, n_levels, eps })),
+        (arb_positive(), 1usize..100, 1usize..100_000, 0u64..u64::MAX).prop_map(
             |(t, max_len, walks, rng_seed)| {
                 Algorithm::RandHkpr(RandHkprParams {
                     t,
@@ -88,13 +82,12 @@ fn arb_algo() -> impl Strategy<Value = Algorithm> {
                 })
             }
         ),
-        (1usize..1000, arb_f64(), 0u64..u64::MAX, arb_dir()).prop_map(
-            |(max_steps, target_conductance, rng_seed, dir)| {
+        (1usize..1000, arb_f64(), 0u64..u64::MAX).prop_map(
+            |(max_steps, target_conductance, rng_seed)| {
                 Algorithm::Evolving(EvolvingParams {
                     max_steps,
                     target_conductance,
                     rng_seed,
-                    dir,
                 })
             }
         ),
@@ -365,6 +358,20 @@ fn oversized_frame_is_rejected_before_allocation() {
             assert_eq!(max, frame::MAX_PAYLOAD as u64);
         }
         other => panic!("expected Oversized, got {other:?}"),
+    }
+}
+
+/// A version-1 frame (the layout that still carried the direction
+/// fields) is refused at the header, before its payload is read.
+#[test]
+fn version_one_frame_is_rejected() {
+    let mut buf = Vec::new();
+    write_frame(&mut buf, FrameKind::Query, 7, &[0u8; 8]).unwrap();
+    assert_eq!(buf[4], frame::VERSION);
+    buf[4] = 1;
+    match read_frame(&mut buf.as_slice()) {
+        Err(ProtocolError::UnsupportedVersion(v)) => assert_eq!(v, 1),
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }
 

@@ -36,8 +36,7 @@
 //! and [`MassMap::reserve_rehash`] compare that bound `b` against
 //! `frac · n` (`frac` defaults to
 //! [`MassMap::DEFAULT_DENSE_FRACTION`] `= 1/8`, overridable per map via
-//! [`MassMap::with_dense_fraction`], and per PR-Nibble run via
-//! `PrNibbleParams::dense_frac`):
+//! [`MassMap::with_dense_fraction`]):
 //!
 //! * `b ≥ frac · n` → dense mode: one `O(n)` allocation the first time
 //!   (amortized against the `Ω(frac·n)` support that triggered it, then

@@ -398,7 +398,7 @@ impl MassMap {
     }
 
     /// Re-fits a recycled map so it is *observably identical* to a
-    /// freshly constructed `MassMap::with_dense_fraction(n, bound, frac)`
+    /// freshly constructed `MassMap::new(n, bound)`
     /// — same mode choice, same sparse-table capacity (capacity shapes
     /// slot enumeration order, which [`MassMap::l1_norm`] sums in, so a
     /// "keep the bigger table" shortcut would leak the map's history into
@@ -409,14 +409,13 @@ impl MassMap {
     /// of a pool, and `recycle` makes the checkout indistinguishable from
     /// a fresh allocation, which is what keeps warm-workspace runs
     /// bit-identical to cold ones.
-    pub fn recycle(&mut self, pool: &Pool, n: usize, bound: usize, frac: f64) {
-        assert!(frac >= 0.0 && !frac.is_nan(), "fraction must be ≥ 0");
+    pub fn recycle(&mut self, pool: &Pool, n: usize, bound: usize) {
         if self.n != n {
             // Universe changed: every cached buffer is the wrong size.
-            *self = MassMap::with_dense_fraction(n, bound, frac);
+            *self = MassMap::new(n, bound);
             return;
         }
-        self.dense_frac = frac;
+        self.dense_frac = Self::DEFAULT_DENSE_FRACTION;
         let bound = self.clamp_bound(bound);
         let wants_dense = self.wants_dense(bound);
         match (&mut self.store, wants_dense) {
@@ -634,24 +633,24 @@ mod tests {
     fn recycle_is_indistinguishable_from_fresh() {
         let pool = Pool::new(2);
         // Dirty a map in dense mode, then recycle it through a series of
-        // (n, bound, frac) configurations; each checkout must match a
-        // freshly constructed map in mode, capacity-dependent entry
-        // enumeration, and l1 bits.
-        let mut m = MassMap::with_dense_fraction(1000, 500, 0.125);
+        // (n, bound) configurations; each checkout must match a freshly
+        // constructed map in mode, capacity-dependent entry enumeration,
+        // and l1 bits.
+        let mut m = MassMap::with_dense_fraction(1000, 500, 0.0);
         assert!(m.is_dense());
         for k in 0..300u32 {
             m.add(k * 3, 0.1 * k as f64);
         }
         let configs = [
-            (1000usize, 10usize, 0.125f64), // downgrade to sparse
-            (1000, 400, 0.125),             // back to dense (reuses buffers)
-            (1000, 10, f64::INFINITY),      // pinned sparse
-            (500, 300, 0.125),              // universe change
-            (500, 0, 0.0),                  // pinned dense
+            (1000usize, 10usize), // downgrade to sparse (and drop the 0.0 fraction)
+            (1000, 400),          // back to dense (reuses buffers)
+            (1000, 124),          // just under n/8: sparse
+            (500, 300),           // universe change
+            (500, 0),             // empty bound: sparse
         ];
-        for &(n, bound, frac) in &configs {
-            m.recycle(&pool, n, bound, frac);
-            let fresh = MassMap::with_dense_fraction(n, bound, frac);
+        for &(n, bound) in &configs {
+            m.recycle(&pool, n, bound);
+            let fresh = MassMap::new(n, bound);
             assert_eq!(m.is_dense(), fresh.is_dense(), "mode for {n}/{bound}");
             assert!(m.is_empty(), "recycle must clear");
             // Fill both identically (staying within the sparse bound);
@@ -672,15 +671,15 @@ mod tests {
     #[test]
     fn recycle_reuses_dense_buffers_across_checkouts() {
         let pool = Pool::new(2);
-        let mut m = MassMap::with_dense_fraction(64, 64, 0.0);
+        let mut m = MassMap::new(64, 64);
         m.add(7, 1.0);
-        m.recycle(&pool, 64, 64, 0.0); // dense → dense: cleared in place
+        m.recycle(&pool, 64, 64); // dense → dense: cleared in place
         assert!(m.is_dense() && m.is_empty());
         assert_eq!(m.get(7), 0.0);
         m.add(8, 2.0);
-        m.recycle(&pool, 64, 1, f64::INFINITY); // stash dense, go sparse
+        m.recycle(&pool, 64, 1); // stash dense, go sparse (1 < 64/8)
         assert!(!m.is_dense() && m.is_empty());
-        m.recycle(&pool, 64, 64, 0.0); // dense again from the stash
+        m.recycle(&pool, 64, 64); // dense again from the stash
         assert!(m.is_dense() && m.is_empty());
         assert_eq!(m.get(8), 0.0, "stashed buffers came back clean");
     }

@@ -78,7 +78,6 @@ fn main() {
                 // one block — no tuning hides that any more.
                 t_max: 30,
                 eps: 1e-7,
-                ..Default::default()
             }),
         ),
         (
@@ -95,7 +94,6 @@ fn main() {
                 t: 8.0,
                 n_levels: 20,
                 eps: 1e-6,
-                ..Default::default()
             }),
         ),
         (

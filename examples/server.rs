@@ -58,12 +58,10 @@ fn request(tenants: &[&str], c: usize, i: usize) -> (String, Query) {
             t: 5.0,
             n_levels: 10,
             eps: 1e-5,
-            ..Default::default()
         }),
         2 => Algorithm::Nibble(lgc::NibbleParams {
             t_max: 10,
             eps: 1e-6,
-            ..Default::default()
         }),
         _ => Algorithm::RandHkpr(lgc::RandHkprParams {
             walks: 3_000,

@@ -104,6 +104,24 @@
 //! the cold references the tests compare against: each runs the
 //! identical code path over a fresh, throwaway workspace.
 //!
+//! # Direction knobs
+//!
+//! Each diffusion picks sparse push or dense pull per `edgeMap` by its
+//! own tuned `|F| + vol(F) > m/k` rule, and its mass vectors switch to
+//! dense storage at `n/8`; neither is a parameter any more. The one
+//! remaining knob pins the traversal for tests and benchmarks:
+//!
+//! | Old item | Current form |
+//! |---|---|
+//! | `DirectionParams::push_only()` / `pull_only()` / `default()` | `Some(Direction::Push)` / `Some(Direction::Pull)` / `None` |
+//! | `DirectionMode` | `Option<Direction>` (`None` = auto) |
+//! | `DirectionParams::choose(&g, len, vol)` | `ligra::choose_direction(pin, &g, len, vol, k)` |
+//! | `NibbleParams::dir`, `PrNibbleParams::dir`, `HkprParams::dir`, `EvolvingParams::dir`, `NcpParams::dir` | `Engine::builder(&g).direction(pin)` |
+//! | `LocalDiffusion::with_direction(dir)` | the `dir` argument of `LocalDiffusion::diffuse` |
+//! | `ServiceBuilder::direction(dir)` | `Engine::builder(&g).direction(pin)` (services always choose per iteration) |
+//! | `PrNibbleParams::dense_frac` | none: `MassMap::DEFAULT_DENSE_FRACTION`, like the other diffusions |
+//! | the wire `direction` blocks and `dense_frac` field | none: protocol version 2 dropped them |
+//!
 //! # Storage backends and memory budgets
 //!
 //! Graph storage is pluggable behind the [`CsrBackend`] trait: plain CSR
@@ -379,12 +397,12 @@ pub use lgc_core::{
     evolving_set_par, evolving_set_seq, find_cluster, hkpr_par, hkpr_seq, ncp_prnibble, nibble_par,
     nibble_seq, nibble_with_target_par, prnibble_par, prnibble_seq, rand_hkpr_par, rand_hkpr_seq,
     sweep_cut_par, sweep_cut_seq, Algorithm, CancelToken, Checkpoint, ClusterResult, Diffusion,
-    DiffusionStats, Direction, DirectionMode, DirectionParams, Embedding, Engine, EngineBuilder,
-    EngineLimits, EvolvingParams, GraphCache, GraphStore, GraphSummary, HkprParams, InvalidSeed,
-    KClusters, LifecycleSnapshot, LocalDiffusion, NcpParams, NibbleParams, PartialResult,
-    PipelineParams, PrNibbleParams, PushRule, Query, QueryBudget, QueryError, RandHkprParams,
-    RefineStats, RefinedCut, RhoGrid, Seed, Service, ServiceBuilder, SweepCut, Trip,
-    TrippedDiffusion, TrippedRefinement, Workspace, WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
+    DiffusionStats, Direction, Embedding, Engine, EngineBuilder, EngineLimits, EvolvingParams,
+    GraphCache, GraphStore, GraphSummary, HkprParams, InvalidSeed, KClusters, LifecycleSnapshot,
+    LocalDiffusion, NcpParams, NibbleParams, PartialResult, PipelineParams, PrNibbleParams,
+    PushRule, Query, QueryBudget, QueryError, RandHkprParams, RefineStats, RefinedCut, RhoGrid,
+    Seed, Service, ServiceBuilder, SweepCut, Trip, TrippedDiffusion, TrippedRefinement, Workspace,
+    WorkspaceBudgetExceeded, RETRY_AFTER_FLOOR,
 };
 pub use lgc_graph::{
     induced_cut_subgraph, CsrBackend, CsrCompressed, CsrPlain, CsrRef, CutSubgraph, Graph,

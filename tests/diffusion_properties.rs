@@ -19,7 +19,7 @@ proptest! {
     #[test]
     fn nibble_mass_never_exceeds_one((g, v) in small_graph(), t_max in 1usize..12, threads in 1usize..=3) {
         let pool = Pool::new(threads);
-        let d = lgc::nibble_par(&pool, &g, &Seed::single(v), &lgc::NibbleParams { t_max, eps: 1e-6, ..Default::default() });
+        let d = lgc::nibble_par(&pool, &g, &Seed::single(v), &lgc::NibbleParams { t_max, eps: 1e-6 });
         let total = d.total_mass();
         prop_assert!(total <= 1.0 + 1e-9, "mass {}", total);
         prop_assert!(d.p.iter().all(|&(_, m)| m > 0.0));
@@ -38,7 +38,7 @@ proptest! {
 
     #[test]
     fn hkpr_par_matches_seq_support((g, v) in small_graph(), t in 0.5f64..8.0, threads in 1usize..=3) {
-        let params = lgc::HkprParams { t, n_levels: 10, eps: 1e-5, ..Default::default() };
+        let params = lgc::HkprParams { t, n_levels: 10, eps: 1e-5 };
         let seq = lgc::hkpr_seq(&g, &Seed::single(v), &params);
         let pool = Pool::new(threads);
         let par = lgc::hkpr_par(&pool, &g, &Seed::single(v), &params);
@@ -61,7 +61,7 @@ proptest! {
     #[test]
     fn nibble_with_target_honors_its_contract((g, v) in small_graph(), phi in 0.001f64..0.9, threads in 1usize..=3) {
         let pool = Pool::new(threads);
-        let params = lgc::NibbleParams { t_max: 15, eps: 1e-6, ..Default::default() };
+        let params = lgc::NibbleParams { t_max: 15, eps: 1e-6 };
         if let Some(sweep) = lgc::nibble_with_target_par(&pool, &g, &Seed::single(v), &params, phi) {
             prop_assert!(sweep.best_conductance <= phi, "returned {} > target {}", sweep.best_conductance, phi);
             prop_assert!(!sweep.cluster().is_empty());
@@ -135,23 +135,19 @@ proptest! {
     /// to a tight ℓ₁ tolerance instead.
     #[test]
     fn diffusions_are_direction_invariant((g, v) in small_graph(), threads in 1usize..=3) {
-        use plgc::ligra::DirectionParams;
-        let pool = Pool::new(threads);
-        let dirs = [
-            DirectionParams::push_only(),
-            DirectionParams::pull_only(),
-            DirectionParams::default(),
-        ];
+        use plgc::{Algorithm, Direction, Engine};
+        let pool = Pool::shared(threads);
+        let engines: Vec<Engine> = [Some(Direction::Push), Some(Direction::Pull), None]
+            .into_iter()
+            .map(|pin| Engine::builder(&g).shared_pool(pool.clone()).direction(pin).build())
+            .collect();
+        let runs = |algo: Algorithm| -> Vec<_> {
+            engines.iter().map(|e| e.diffuse(&Seed::single(v), &algo)).collect()
+        };
 
-        let nib: Vec<_> = dirs.iter().map(|&dir| {
-            lgc::nibble_par(&pool, &g, &Seed::single(v), &lgc::NibbleParams { t_max: 8, eps: 1e-6, dir })
-        }).collect();
-        let hk: Vec<_> = dirs.iter().map(|&dir| {
-            lgc::hkpr_par(&pool, &g, &Seed::single(v), &lgc::HkprParams { t: 3.0, n_levels: 8, eps: 1e-5, dir })
-        }).collect();
-        let pr: Vec<_> = dirs.iter().map(|&dir| {
-            lgc::prnibble_par(&pool, &g, &Seed::single(v), &lgc::PrNibbleParams { alpha: 0.05, eps: 1e-5, dir, ..Default::default() })
-        }).collect();
+        let nib = runs(Algorithm::Nibble(lgc::NibbleParams { t_max: 8, eps: 1e-6 }));
+        let hk = runs(Algorithm::Hkpr(lgc::HkprParams { t: 3.0, n_levels: 8, eps: 1e-5 }));
+        let pr = runs(Algorithm::PrNibble(lgc::PrNibbleParams { alpha: 0.05, eps: 1e-5, ..Default::default() }));
 
         for runs in [&nib, &hk, &pr] {
             for other in &runs[1..] {
@@ -168,32 +164,66 @@ proptest! {
     }
 }
 
+/// Small graphs whose every vertex has degree ≥ 2 (checked over the
+/// whole `n × seed` domain of this strategy; `n = 16` has a degree-1
+/// vertex at seed 227, so the range stops at 15).
+fn tiny_graph() -> impl Strategy<Value = (plgc::Graph, u32)> {
+    (10usize..=15, 0u64..1000).prop_map(|(n, s)| {
+        let g = plgc::graph::gen::rand_local(n, 4, s);
+        let seed = plgc::graph::largest_component(&g)[0];
+        (g, seed)
+    })
+}
+
+/// `g` plus isolated vertices up to `n` in total: the edges, the
+/// reachable set and every degree stay the same, only the universe the
+/// mass maps are sized against grows.
+fn padded(g: &plgc::Graph, n: usize) -> plgc::Graph {
+    let edges: Vec<(u32, u32)> = (0..g.num_vertices() as u32)
+        .flat_map(|u| {
+            g.neighbors(u)
+                .iter()
+                .filter(move |&&w| u < w)
+                .map(move |&w| (u, w))
+        })
+        .collect();
+    plgc::Graph::from_edges(n, &edges)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The adaptive mass store must be invisible to the algorithm:
-    /// PR-Nibble with dense-pinned and sparse-pinned `MassMap`s returns
-    /// identical sorted vectors and conserves mass in both modes (and in
-    /// the adaptive default).
+    /// PR-Nibble with every `MassMap` direct-indexed, every one
+    /// hash-backed, and modes changing mid-run returns identical sorted
+    /// vectors and conserves mass in all three. A map is dense exactly
+    /// when the key bound it is sized for reaches `n/8`, so the mode is
+    /// steered by padding the graph with isolated vertices.
     #[test]
     fn prnibble_dense_and_sparse_mass_maps_agree(
-        (g, v) in small_graph(),
+        (g, v) in tiny_graph(),
         alpha in 0.01f64..0.5,
         threads in 1usize..=3,
     ) {
+        prop_assert!((0..g.num_vertices() as u32).all(|u| g.degree(u) >= 2));
         let pool = Pool::new(threads);
-        let run = |dense_frac: f64| {
-            let params = lgc::PrNibbleParams {
-                alpha,
-                eps: 1e-5,
-                dense_frac,
-                ..Default::default()
-            };
-            lgc::prnibble_par(&pool, &g, &Seed::single(v), &params)
-        };
-        let dense = run(0.0);            // every vector direct-indexed
-        let sparse = run(f64::INFINITY); // every vector hash-backed
-        let adaptive = run(lgc::PrNibbleParams::default().dense_frac);
+        let params = lgc::PrNibbleParams { alpha, eps: 1e-5, ..Default::default() };
+        let run = |g: &plgc::Graph| lgc::prnibble_par(&pool, g, &Seed::single(v), &params);
+        let n0 = g.num_vertices();
+        // Dense: n ≤ 15 puts n/8 below 2. Every map starts dense (sized
+        // for 2·|seed| = 2 or 16 keys), growing a dense map never
+        // downgrades it, and the one reset, the delta map's, is sized by
+        // a frontier volume ≥ 2 (all degrees ≥ 2).
+        let dense = run(&g);
+        // Sparse: no bound exceeds |V(g)| + 2m + 16 (r's keys plus one
+        // frontier's volume, or the initial 16), so with n/8 above that
+        // every map stays a hash table.
+        let sparse = run(&padded(&g, 8 * (n0 + 2 * g.num_edges() + 17)));
+        // Adaptive: at n = 128, p and the delta map start dense (16 ≥
+        // 16) while r starts sparse (2 < 16); the delta map drops to a
+        // hash table on frontiers of volume < 16, and r upgrades once its
+        // key bound reaches 16.
+        let adaptive = run(&padded(&g, 128));
         // Mass conservation must hold in every mode at every thread
         // count; the discrete comparisons below are gated on a single
         // thread, where runs are fully deterministic. (At threads > 1

@@ -40,7 +40,6 @@ fn make_algo(kind: usize, tweak: u64) -> Algorithm {
         0 => Algorithm::Nibble(lgc::NibbleParams {
             t_max: 6 + tweak as usize,
             eps: 1e-6,
-            ..Default::default()
         }),
         1 => Algorithm::PrNibble(lgc::PrNibbleParams {
             alpha: 0.03 * (tweak + 1) as f64,
@@ -51,7 +50,6 @@ fn make_algo(kind: usize, tweak: u64) -> Algorithm {
             t: 2.0 + tweak as f64,
             n_levels: 8,
             eps: 1e-5,
-            ..Default::default()
         }),
         3 => Algorithm::RandHkpr(lgc::RandHkprParams {
             walks: 1_000 + 500 * tweak as usize,
@@ -212,7 +210,7 @@ proptest! {
         threads in 1usize..=4,
     ) {
         let c = plgc::CsrCompressed::from_graph(&g);
-        let pin = plgc::DirectionParams::pull_only();
+        let pin = Some(plgc::Direction::Pull);
         let plain = Engine::builder(&g).threads(threads).direction(pin).build();
         let packed = Engine::builder(&c)
             .threads(threads)

@@ -16,7 +16,6 @@ fn all_algorithms_recover_planted_clique() {
             Algorithm::Nibble(lgc::NibbleParams {
                 t_max: 25,
                 eps: 1e-9,
-                ..Default::default()
             }),
         ),
         (
@@ -54,13 +53,11 @@ fn deterministic_algorithms_agree_across_thread_counts() {
     let nibble = lgc::NibbleParams {
         t_max: 15,
         eps: 1e-7,
-        ..Default::default()
     };
     let hk = lgc::HkprParams {
         t: 8.0,
         n_levels: 15,
         eps: 1e-6,
-        ..Default::default()
     };
 
     let base_nibble = lgc::nibble_seq(&g, &seed, &nibble);
@@ -237,7 +234,6 @@ fn work_bounds_hold() {
     let nb = lgc::NibbleParams {
         t_max: 7,
         eps: 1e-7,
-        ..Default::default()
     };
     let d = lgc::nibble_par(&pool, &g, &seed, &nb);
     assert!(d.stats.iterations <= 7);
@@ -247,7 +243,6 @@ fn work_bounds_hold() {
         t: 5.0,
         n_levels: 9,
         eps: 1e-6,
-        ..Default::default()
     };
     let d = lgc::hkpr_par(&pool, &g, &seed, &hk);
     assert!(d.stats.iterations <= 9);
